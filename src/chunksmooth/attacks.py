@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pe, smoothing
+from . import neural, pe, smoothing
 from .errors import (
     AlignmentUnsatisfiable,
     CapUnsatisfiable,
@@ -49,10 +49,57 @@ class DetectorOracle:
         return float(score), label
 
 
+# BLAS runs small GEMMs through other kernels than a full view stack's
+# GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
+# desk size, for any batch of up to 37 conv columns.  Rescoring at least this
+# many conv columns (or the whole stack, when it has fewer) keeps the
+# rescored rows on the full stack's kernel.
+MIN_RESCORE_COLUMNS = 64
+
+
+class ViewScores:
+    """Scores of a stack of views, recomputed only for the rows whose
+    tokens changed since the previous call.
+
+    A view's score depends only on its own tokens, so the result is
+    bitwise that of neural.forward_scores on the whole stack.  Holds one
+    call of state; views of unequal length are scored afresh.
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._stack = None
+        self._scores = None
+
+    def __call__(self, token_arrays) -> np.ndarray:
+        if len({t.size for t in token_arrays}) != 1:
+            self._stack = None
+            return neural.forward_scores(self.params, token_arrays)
+        stack = np.stack(token_arrays)
+        prev, scores = self._stack, self._scores
+        if prev is None or prev.shape != stack.shape:
+            scores = neural.forward_scores(self.params, stack)
+        else:
+            changed = (stack != prev).any(axis=1)
+            n_changed = int(np.count_nonzero(changed))
+            if n_changed:
+                pr = self.params.profile
+                columns = (max(stack.shape[1], pr.window) - pr.window) // pr.stride + 1
+                short = min(len(stack), -(-MIN_RESCORE_COLUMNS // columns)) - n_changed
+                if short > 0:
+                    changed[np.flatnonzero(~changed)[:short]] = True
+                scores = scores.copy()
+                scores[changed] = neural.forward_scores(self.params, stack[changed])
+        self._stack, self._scores = stack, scores
+        return scores
+
+
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label. For vote detectors the score is the
     malicious vote share, or the mean view score when spec.soft_scores
-    is set (a finer-grained objective for section-injection attacks)."""
+    is set (a finer-grained objective for section-injection attacks).
+    Vote detectors rescore only the views whose bytes changed since the
+    previous query (ViewScores), with the same results as predict_smoothed."""
 
     if spec.kind == "ns":
 
@@ -61,11 +108,13 @@ def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
             return pred.score, pred.label
 
     else:
+        view_scores = ViewScores(params)
 
         def fn(data: bytes):
-            pred = smoothing.predict_smoothed(params, spec, data)
-            score = pred.mean_score if spec.soft_scores else pred.probabilities[LABEL_MALICIOUS]
-            return score, pred.label
+            scores = view_scores([v.tokens for v in smoothing.smoothed_views(spec, data)])
+            _, probabilities, label = smoothing.tally_votes(scores, spec.vote_threshold)
+            score = float(np.mean(scores)) if spec.soft_scores else probabilities[LABEL_MALICIOUS]
+            return score, label
 
     return DetectorOracle(fn)
 

@@ -170,7 +170,13 @@ def prediction_record(
         "L": pred.n_views,
         "p": pred.p,
         "per_chunk": [
-            {"start": c.window.start, "end": c.window.end, "score": c.score, "vote": c.vote}
+            {
+                # rs views mask bytes across the whole file and have no window
+                "start": None if c.window is None else c.window.start,
+                "end": None if c.window is None else c.window.end,
+                "score": c.score,
+                "vote": c.vote,
+            }
             for c in pred.per_chunk
         ],
     }

@@ -5,9 +5,10 @@ backend expresses the same arithmetic with vectorized ops (the conv
 kernels become one GEMM).  Backend selection: the ``CHUNKSMOOTH_BACKEND``
 environment variable ("numba" or "numpy"), read once at import.  The
 default is numpy: at the default model sizes the conv reduces to a small
-GEMM where BLAS beats the compiled loops (see benchmarks/), and numba
-then costs jit warmup on top.  ``set_backend`` overrides at runtime,
-which the benchmark and the agreement tests use.
+GEMM where BLAS beats the compiled loops, and numba then costs jit warmup
+on top.  perfbench/ times each kernel at fixed shapes (``kernels.case.*``).
+``set_backend`` overrides at runtime, which the CLI's ``--backend`` and the
+agreement tests use.
 
 Both backends are deterministic run to run.  They are not bitwise
 identical to each other (different accumulation order), so tests compare

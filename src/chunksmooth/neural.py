@@ -179,7 +179,8 @@ def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
 
 def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.ndarray:
     """Scores for many views.  Equal-length views (the usual smoothed
-    prediction case) are folded into one batched conv call."""
+    prediction case) are folded into one batched conv call; token_arrays
+    may also be a 2-D stack of them."""
     pr = params.profile
     padded = [_pad_tokens(t, pr.window) for t in token_arrays]
     lengths = {p.size for p in padded}
@@ -189,7 +190,9 @@ def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
     gated = a * _sigmoid(b)
     h = gated.max(axis=1)  # (n, f)
-    logits = (h @ params.fc_w + params.fc_b[0]).astype(np.float64)
+    # a per-row reduction, not a gemv: gemv bits depend on the batch size,
+    # and a view's score must depend on its own tokens only
+    logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
     return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import neural
 from .ablation import (
+    AblatedView,
     AblationConfig,
     ChunkWindow,
     make_views,
@@ -111,6 +112,7 @@ class SmoothedPrediction:
     label: str
     mean_score: float
     per_chunk: tuple[ChunkRecord, ...]
+    file_len: int
 
     @property
     def margin(self) -> int:
@@ -134,23 +136,41 @@ def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     return PlainPrediction(score=score, label=label)
 
 
+def smoothed_views(
+    spec: DetectorSpec, data: bytes, rng: np.random.Generator | None = None
+) -> list[AblatedView]:
+    """The L views a smoothed detector votes over.  rca and rs draw from
+    content_rng unless given an rng; sca is a pure function of len(data)."""
+    if spec.kind == "ns":
+        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
+    cfg = spec.ablation
+    if rng is None and cfg.scheme != "sca":
+        rng = content_rng(cfg.seed, data)
+    return make_views(data, cfg, rng)
+
+
+def tally_votes(
+    scores: np.ndarray, vote_threshold: float
+) -> tuple[dict[str, int], dict[str, float], str]:
+    """Votes, vote shares and label of one set of view scores; a view
+    votes malicious at score >= vote_threshold and ties go to malicious."""
+    L = scores.size
+    votes_mal = int(np.count_nonzero(scores >= vote_threshold))
+    votes = {LABEL_BENIGN: L - votes_mal, LABEL_MALICIOUS: votes_mal}
+    probabilities = {LABEL_BENIGN: (L - votes_mal) / L, LABEL_MALICIOUS: votes_mal / L}
+    label = LABEL_MALICIOUS if votes_mal >= L - votes_mal else LABEL_BENIGN
+    return votes, probabilities, label
+
+
 def predict_smoothed(
     params: neural.MalConvParams,
     spec: DetectorSpec,
     data: bytes,
     rng: np.random.Generator | None = None,
 ) -> SmoothedPrediction:
-    if spec.kind == "ns":
-        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
-    cfg = spec.ablation
-    if rng is None and cfg.scheme != "sca":
-        rng = content_rng(cfg.seed, data)
-    views = make_views(data, cfg, rng)
+    views = smoothed_views(spec, data, rng)
     scores = neural.forward_scores(params, [v.tokens for v in views])
-    votes_mal = int(np.count_nonzero(scores >= spec.vote_threshold))
-    L = cfg.n_views
-    votes = {LABEL_BENIGN: L - votes_mal, LABEL_MALICIOUS: votes_mal}
-    label = LABEL_MALICIOUS if votes_mal >= L - votes_mal else LABEL_BENIGN
+    votes, probabilities, label = tally_votes(scores, spec.vote_threshold)
     per_chunk = tuple(
         ChunkRecord(
             window=v.window,
@@ -161,13 +181,14 @@ def predict_smoothed(
     )
     return SmoothedPrediction(
         kind=spec.kind,
-        p=cfg.p,
-        n_views=L,
+        p=spec.ablation.p,
+        n_views=spec.ablation.n_views,
         votes=votes,
-        probabilities={LABEL_BENIGN: (L - votes_mal) / L, LABEL_MALICIOUS: votes_mal / L},
+        probabilities=probabilities,
         label=label,
         mean_score=float(np.mean(scores)),
         per_chunk=per_chunk,
+        file_len=len(data),
     )
 
 
@@ -206,12 +227,10 @@ def certify_inplace(
         raise NotSca(f"certification is defined for sca only, got {pred.kind!r}")
     if spec.ablation.sca_mode != "even":
         raise NotSca("certification assumes evenly spaced windows, not verbatim mode")
-    windows = [c.window for c in pred.per_chunk]
-    file_len = max(w.end for w in windows)
     a, b = edit_region
-    if not (0 <= a <= b <= file_len):
-        raise NotLengthPreserving(f"edit region {edit_region} not inside [0, {file_len}]")
-    touched = len(windows_touching(windows, edit_region))
+    if not (0 <= a <= b <= pred.file_len):
+        raise NotLengthPreserving(f"edit region {edit_region} not inside [0, {pred.file_len}]")
+    touched = len(windows_touching([c.window for c in pred.per_chunk], edit_region))
     margin = pred.margin
     if pred.label == LABEL_MALICIOUS:
         certified = margin >= 2 * touched

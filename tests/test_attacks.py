@@ -174,6 +174,71 @@ def test_make_oracle_matches_direct_predictions():
     assert score == pred.mean_score
 
 
+@pytest.mark.parametrize("columns", [1, 2, 5, 19, 33])
+def test_view_scores_rescoring_matches_full_stack(columns):
+    """For change masks of every size, rescoring only the changed rows
+    gives the scores of the whole stack, bitwise."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=21)
+    rng = np.random.default_rng(columns)
+    L = 20
+    stack = rng.integers(0, 257, size=(L, 64 * columns + 7)).astype(np.int32)
+    scores = attacks.ViewScores(params)
+    np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+    for k in list(range(1, L + 1)) * 2:
+        rows = rng.choice(L, size=k, replace=False)
+        cols = rng.integers(0, stack.shape[1], size=k)
+        stack[rows, cols] = (stack[rows, cols] + 1) % 257
+        got = scores(list(stack))
+        np.testing.assert_array_equal(got, neural.forward_scores(params, stack))
+    np.testing.assert_array_equal(scores(list(stack)), got)  # nothing changed
+    # views of unequal length (verbatim sca windows clamped at the file end)
+    ragged = [stack[0], stack[1, :-3]]
+    np.testing.assert_array_equal(scores(ragged), neural.forward_scores(params, ragged))
+    np.testing.assert_array_equal(scores(list(stack)), got)
+
+
+def _big_victim():
+    """A file of about 40 KB: sca views of 31 conv columns at p=0.05."""
+    rng = np.random.default_rng(23)
+    specs = [
+        pe.SectionSpec(name=f".s{i}", content=rng.integers(0, 256, size=13000, dtype=np.uint8).tobytes())
+        for i in range(3)
+    ]
+    return pe.build_pe(specs, file_alignment=512)
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("victim", [_victim, _big_victim])
+def test_rescoring_oracle_attacks_match_predict_smoothed(victim, soft):
+    """Padding and shift campaigns give the same results through the
+    rescoring oracle as through one that predicts every query afresh."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=22)
+    params.fc_b[:] = 0.15  # nearly every view votes malicious: the GA spends its whole budget
+    spec = smoothing.DetectorSpec(
+        kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100), soft_scores=soft
+    )
+
+    def fresh_oracle():
+        def fn(data):
+            pred = smoothing.predict_smoothed(params, spec, data)
+            return (pred.mean_score if soft else pred.probabilities[LABEL_MALICIOUS]), pred.label
+
+        return DetectorOracle(fn)
+
+    data, _ = victim()
+    ga = _tiny_ga(population=6, generations=4, seed=3)
+    for attack, cfg in (
+        (attack_padding, PaddingConfig(n_pad=2000, ga=ga)),
+        (attack_shift, ShiftConfig(extension=1024, ga=ga)),
+    ):
+        rescoring = make_oracle(params, spec)
+        got = attack(data, rescoring, cfg)
+        want = attack(data, fresh_oracle(), cfg)
+        assert got == want
+        assert not got.evaded
+        assert rescoring.query_count == got.queries
+
+
 # -- padding -----------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from _oracles import metrics_oracle
 from chunksmooth import cli, harness, neural, pe, smoothing
+from chunksmooth.ablation import AblationConfig
 from chunksmooth.attacks import GaConfig
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, read_manifest
 from chunksmooth.errors import ConfigInvalid, EmptyCorpus
@@ -416,6 +417,19 @@ def test_cli_classify(cli_env, tmp_path, capsys):
     # no --json: records go to stdout instead
     assert cli.main(["classify", "--model", str(cli_env["model"]), files[0]]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[0])["file"] == files[0]
+
+
+def test_cli_classify_rs_checkpoint(cli_env, tmp_path):
+    spec = smoothing.DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.2, n_views=5))
+    model = tmp_path / "rs.bin"
+    neural.save_checkpoint(model, neural.init_params(neural.PROFILES["desk"], seed=0), spec.meta())
+    manifest = read_manifest(cli_env["corpus"] / "manifest.csv")
+    out = tmp_path / "preds.json"
+    file = str(manifest.root / manifest.entries[0].path)
+    assert cli.main(["classify", "--model", str(model), "--json", str(out), file]) == 0
+    rec = json.loads(out.read_text())
+    assert rec["detector"] == "rs" and len(rec["per_chunk"]) == 5
+    assert all(c["start"] is None and c["end"] is None for c in rec["per_chunk"])
 
 
 def test_cli_evaluate(cli_env, tmp_path):

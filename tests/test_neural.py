@@ -122,6 +122,18 @@ def test_forward_scores_batched_equals_per_view():
     np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("columns", [19, 28, 33, 51])
+def test_forward_scores_rows_do_not_depend_on_the_batch(columns):
+    """A view scores the same bits in any batch of two or more views."""
+    rng = np.random.default_rng(columns)
+    params = init_params(DESK, seed=9)
+    stack = rng.integers(0, 257, size=(40, 64 * columns)).astype(np.int32)
+    full = forward_scores(params, stack)
+    for _ in range(30):
+        rows = np.sort(rng.choice(40, size=int(rng.integers(2, 41)), replace=False))
+        np.testing.assert_array_equal(forward_scores(params, stack[rows]), full[rows])
+
+
 def test_forward_scores_mixed_lengths_fall_back_exactly():
     rng = np.random.default_rng(8)
     params = init_params(DESK, seed=8)

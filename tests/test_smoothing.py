@@ -190,6 +190,17 @@ def test_certify_empty_region(monkeypatch):
     assert certify_inplace(pred, (5, 5), spec).certified
 
 
+def test_certify_single_view_knows_the_file_length(monkeypatch):
+    # the one window of a 3000-byte file is [0, 150); an edit past it
+    # touches no window and is inside the file
+    pred, spec = _pred_with_votes(monkeypatch, [0.9], file_len=3000)
+    assert pred.file_len == 3000
+    res = certify_inplace(pred, (2000, 2010), spec)
+    assert res.touched == 0 and res.certified
+    with pytest.raises(NotLengthPreserving):
+        certify_inplace(pred, (2990, 3001), spec)
+
+
 def test_certify_rejects_wrong_scheme_and_region(monkeypatch):
     params = neural.init_params(DESK, seed=4)
     data = bytes(range(256)) * 4
