@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus, harness, kernels, neural, smoothing
+from . import corpus, harness, neural, smoothing
 from .ablation import AblationConfig
 from .attacks import GaConfig
 from .corpus import SynthConfig, load_capped, read_manifest, temporal_split
@@ -209,30 +209,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", help="key=value file supplying defaults for the subcommand")
     parser.add_argument(
-        "--backend", choices=["numba", "numpy"], help="kernel backend override (default: env or numpy)"
+        "--seed", type=int, default=0, help="seed for subcommands that take one, unless they set their own"
     )
     parser.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="seed forwarded to the subcommand unless it sets its own",
+        "--threads", type=int, default=1,
+        help="worker threads for subcommands that take them, unless they set their own",
     )
-    parser.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS,
-        help="worker threads forwarded to subcommands that support them",
+    # The subcommands' own --seed/--threads leave the namespace alone unless
+    # given, so they beat the global flag and the global flag beats the default.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="overrides the global --seed")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument(
+        "--threads", type=int, default=argparse.SUPPRESS, help="overrides the global --threads"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = commands["gen-corpus"] = sub.add_parser("gen-corpus", help="synthesize a labeled corpus")
+    p = commands["gen-corpus"] = sub.add_parser(
+        "gen-corpus", help="synthesize a labeled corpus", parents=[seed]
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--n-files", type=int, default=2000)
     p.add_argument("--size-min", type=int, default=24576)
     p.add_argument("--size-max", type=int, default=65536)
     p.add_argument("--malicious-ratio", type=float, default=0.5)
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,val,test split fractions")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = commands["train"] = sub.add_parser("train", help="train a detector and write a checkpoint")
+    p = commands["train"] = sub.add_parser(
+        "train", help="train a detector and write a checkpoint", parents=[seed]
+    )
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--detector", choices=list(smoothing.DETECTOR_KINDS), default="sca")
@@ -243,7 +250,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = commands["classify"] = sub.add_parser("classify", help="classify files with a trained checkpoint")
@@ -252,15 +258,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_classify)
 
-    p = commands["evaluate"] = sub.add_parser("evaluate", help="confusion metrics over a corpus split")
+    p = commands["evaluate"] = sub.add_parser(
+        "evaluate", help="confusion metrics over a corpus split", parents=[threads]
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
     p.add_argument("--json", help="also write the report here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
-    p = commands["attack"] = sub.add_parser("attack", help="run a black-box evasion campaign")
+    p = commands["attack"] = sub.add_parser(
+        "attack", help="run a black-box evasion campaign", parents=[seed]
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--attack", choices=list(harness.ATTACK_NAMES), required=True)
@@ -270,7 +279,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--generations", type=int, default=100)
     p.add_argument("--out", required=True, help="JSONL record output")
     p.add_argument("--adv-dir", help="also write adversarial files here")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_attack)
 
     p = commands["report"] = sub.add_parser("report", help="aggregate attack records into a robustness table")
@@ -282,7 +290,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-_VALUE_GLOBALS = ("--config", "--backend", "--seed", "--threads")
+_VALUE_GLOBALS = ("--config", "--seed", "--threads")
 
 
 def _find_command(argv: list[str], commands: dict) -> str | None:
@@ -300,45 +308,14 @@ def _find_command(argv: list[str], commands: dict) -> str | None:
     return None
 
 
-def _apply_global_defaults(commands: dict, argv: list[str]) -> None:
-    """Map top-level --seed/--threads onto the subcommand's defaults.
-
-    argparse subparsers parse into a fresh namespace, so a value given
-    before the subcommand name would otherwise be shadowed by the
-    subcommand's own default. Subcommand-level flags still win, and
-    commands without the option ignore it."""
-    values: dict[str, str] = {}
-    for i, token in enumerate(argv):
-        if not token.startswith("-") and token in commands:
-            break
-        for name in ("--seed", "--threads"):
-            if token == name and i + 1 < len(argv):
-                values[name[2:]] = argv[i + 1]
-            elif token.startswith(name + "="):
-                values[name[2:]] = token.split("=", 1)[1]
-    if not values:
-        return
-    command = _find_command(argv, commands)
-    target = commands.get(command)
-    if target is None:
-        return
-    dests = {a.dest for a in target._actions}
-    for dest, raw in values.items():
-        if dest not in dests:
-            continue
-        try:
-            target.set_defaults(**{dest: int(raw)})
-        except ValueError as exc:
-            raise ConfigInvalid(f"--{dest} expects an integer, got {raw!r}") from exc
-
-
 def _apply_config_file(
     parser: argparse.ArgumentParser, commands: dict, argv: list[str]
 ) -> None:
     """Seed subcommand defaults from a key=value file named by --config.
 
     Command-line flags still win: set_defaults only fills in what the
-    user did not pass explicitly."""
+    user did not pass explicitly.  seed and threads become top-level
+    defaults, so that a global --seed/--threads beats them too."""
     path = None
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -374,6 +351,7 @@ def _apply_config_file(
         if action.choices and overrides[dest] not in action.choices:
             raise ConfigInvalid(f"{path}:{lineno}: {key!r} must be one of {sorted(action.choices)}")
         action.required = False
+    parser.set_defaults(**{k: overrides.pop(k) for k in ("seed", "threads") if k in overrides})
     target.set_defaults(**overrides)
 
 
@@ -382,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands = build_parser()
     try:
         _apply_config_file(parser, commands, argv)
-        _apply_global_defaults(commands, argv)
         args = parser.parse_args(argv)
-        if args.backend:
-            kernels.set_backend(args.backend)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

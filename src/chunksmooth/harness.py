@@ -11,7 +11,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +40,6 @@ class EvalReport:
     accuracy: float
     f1: float
     seconds: float
-    # filled by callers that know it (training and evaluation are separate
-    # commands, and wall-clock never goes into persisted artifacts)
-    train_minutes_per_epoch: float | None = None
 
     @property
     def seconds_per_example(self) -> float:
@@ -61,17 +58,15 @@ class EvalReport:
             "f1": self.f1,
             "seconds": self.seconds,
             "seconds_per_example": self.seconds_per_example,
-            "train_minutes_per_epoch": self.train_minutes_per_epoch,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
         fields = ("detector", "split", "n", "tp", "fp", "tn", "fn", "accuracy", "f1", "seconds")
         try:
-            report = cls(**{name: d[name] for name in fields})
+            return cls(**{name: d[name] for name in fields})
         except KeyError as exc:
             raise ConfigInvalid(f"evaluation report is missing field {exc.args[0]!r}") from exc
-        return replace(report, train_minutes_per_epoch=d.get("train_minutes_per_epoch"))
 
 
 def _confusion(truth: list[str], predicted: list[str]) -> tuple[int, int, int, int]:

@@ -9,8 +9,8 @@ token; beyond that, trailing bytes that do not fill a full window are
 ignored (valid convolution).
 
 Backward passes are analytic.  Training is float32; gradient checks run
-the same code in float64.  The hot conv loops live in kernels.py with
-numba and numpy backends.
+the same code in float64.  The conv GEMM and the gradient scatters
+live in kernels.py.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ All multi-byte fields are little-endian, as in the real format.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, replace
 
@@ -212,67 +211,6 @@ def find_code_caves(
             if e - s >= min_len:
                 caves.append((int(s) + sec.raw_offset, int(e) + sec.raw_offset))
     return tuple(caves)
-
-
-# -- layout (de)serialization ---------------------------------------------------
-
-
-def layout_to_json(layout: PeLayout) -> str:
-    d = {
-        "file_len": layout.file_len,
-        "e_lfanew": layout.e_lfanew,
-        "opt_header_offset": layout.opt_header_offset,
-        "opt_header_size": layout.opt_header_size,
-        "section_table_offset": layout.section_table_offset,
-        "file_alignment": layout.file_alignment,
-        "size_of_headers": layout.size_of_headers,
-        "dos_header_span": list(layout.dos_header_span),
-        "pe_header_span": list(layout.pe_header_span),
-        "sections": [
-            {
-                "name": s.name,
-                "virtual_size": s.virtual_size,
-                "virtual_address": s.virtual_address,
-                "raw_size": s.raw_size,
-                "raw_offset": s.raw_offset,
-                "characteristics": s.characteristics,
-            }
-            for s in layout.sections
-        ],
-        "used_lens": list(layout.used_lens),
-        "overlay_start": layout.overlay_start,
-        "code_caves": [list(c) for c in layout.code_caves],
-    }
-    return json.dumps(d, sort_keys=True)
-
-
-def layout_from_json(text: str) -> PeLayout:
-    d = json.loads(text)
-    return PeLayout(
-        file_len=d["file_len"],
-        e_lfanew=d["e_lfanew"],
-        opt_header_offset=d["opt_header_offset"],
-        opt_header_size=d["opt_header_size"],
-        section_table_offset=d["section_table_offset"],
-        file_alignment=d["file_alignment"],
-        size_of_headers=d["size_of_headers"],
-        dos_header_span=tuple(d["dos_header_span"]),
-        pe_header_span=tuple(d["pe_header_span"]),
-        sections=tuple(
-            SectionEntry(
-                name=s["name"],
-                virtual_size=s["virtual_size"],
-                virtual_address=s["virtual_address"],
-                raw_size=s["raw_size"],
-                raw_offset=s["raw_offset"],
-                characteristics=s["characteristics"],
-            )
-            for s in d["sections"]
-        ),
-        used_lens=tuple(d["used_lens"]),
-        overlay_start=d["overlay_start"],
-        code_caves=tuple(tuple(c) for c in d["code_caves"]),
-    )
 
 
 # -- builder ---------------------------------------------------------------------

@@ -59,13 +59,12 @@ def _report(**kw):
 
 
 def test_eval_report_round_trip():
-    report = _report(train_minutes_per_epoch=1.25)
+    report = _report()
     again = EvalReport.from_dict(report.to_dict())
     assert again == report
     assert again.seconds_per_example == 0.25
-
-    bare = _report()  # train timing unknown: stays None through the round trip
-    assert EvalReport.from_dict(bare.to_dict()).train_minutes_per_epoch is None
+    # reports written before the field was dropped still load
+    assert EvalReport.from_dict({**report.to_dict(), "train_minutes_per_epoch": None}) == report
     assert _report(n=0, tp=0, tn=0, fp=0, fn=0).seconds_per_example == 0.0
 
 
@@ -557,7 +556,7 @@ def test_cli_config_file_defaults_and_overrides(cli_env, tmp_path):
     assert cli.main(["--config", str(bad), "gen-corpus", "--out", str(tmp_path / "c")]) == 2
 
 
-def test_cli_global_seed_forwarding(tmp_path):
+def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
     common = ["--n-files", "6", "--size-min", "6144", "--size-max", "8192"]
     out_a, out_b, out_c = (tmp_path / n for n in "abc")
     assert cli.main(["--seed", "7", "gen-corpus", "--out", str(out_a), *common]) == 0
@@ -568,6 +567,31 @@ def test_cli_global_seed_forwarding(tmp_path):
     digests = lambda d: [e.sha256 for e in read_manifest(d / "manifest.csv").entries]
     assert digests(out_a) == digests(out_b)
     assert digests(out_c) != digests(out_a)
+
+    # a config file's seed gives way to a global --seed, which gives way to
+    # the subcommand's --seed
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 7\n")
+    out_cfg, out_global, out_sub = (tmp_path / n for n in ("cfg", "global", "sub"))
+    head = ["--config", str(cfg)]
+    assert cli.main([*head, "gen-corpus", "--out", str(out_cfg), *common]) == 0
+    assert cli.main([*head, "--seed", "11", "gen-corpus", "--out", str(out_global), *common]) == 0
+    assert cli.main([*head, "--seed", "11", "gen-corpus", "--out", str(out_sub), *common, "--seed", "7"]) == 0
+    assert digests(out_cfg) == digests(out_a)
+    assert digests(out_global) == digests(out_c)
+    assert digests(out_sub) == digests(out_a)
+
+    # a global --threads reaches evaluate, below its own flag, and gen-corpus ignores it
+    seen = []
+    monkeypatch.setattr(cli, "cmd_evaluate", lambda args: seen.append(args.threads) or 0)
+    evaluate = ["evaluate", "--model", "m.bin", "--corpus", "c"]
+    assert cli.main(evaluate) == 0
+    assert cli.main(["--threads", "2", *evaluate]) == 0
+    assert cli.main(["--threads", "2", *evaluate, "--threads", "3"]) == 0
+    assert seen == [1, 2, 3]
+    out_t = tmp_path / "t"
+    assert cli.main(["--threads", "2", "gen-corpus", "--out", str(out_t), *common, "--seed", "7"]) == 0
+    assert digests(out_t) == digests(out_a)
 
 
 def test_cli_exit_codes(cli_env, tmp_path, capsys):

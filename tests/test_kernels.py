@@ -1,34 +1,9 @@
-"""Kernel correctness: straight-line references and backend agreement.
-
-The two backends share no code beyond the dispatcher, so agreement is a
-real check. They are not expected to be bitwise identical (different
-accumulation orders), hence the tolerances.
-"""
+"""Kernel correctness against straight-line loop references."""
 
 import numpy as np
-import pytest
 
 from _oracles import naive_zero_runs
 from chunksmooth import kernels
-from chunksmooth.errors import ConfigInvalid
-
-
-def _have_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-needs_numba = pytest.mark.skipif(not _have_numba(), reason="numba not installed")
-
-
-@pytest.fixture
-def restore_backend():
-    prev = kernels.current_backend()
-    yield
-    kernels.set_backend(prev)
 
 
 def _random_case(rng, n_filters=3, emb=5, window=8, t=40, stride=4, dtype=np.float64):
@@ -89,6 +64,17 @@ def test_conv_pair_many_matches_single_calls():
         a, b = kernels.conv_pair(xs[i], wa, ba, wb, bb, stride=4)
         np.testing.assert_allclose(ma[i], a, rtol=1e-12)
         np.testing.assert_allclose(mb[i], b, rtol=1e-12)
+
+
+def test_conv_pair_is_the_one_chunk_stack_bitwise():
+    rng = np.random.default_rng(6)
+    for dtype in (np.float64, np.float32):
+        x, wa, ba, wb, bb = _random_case(rng, t=128, window=16, stride=16, dtype=dtype)
+        for stride in (16, 5):
+            a, b = kernels.conv_pair(x, wa, ba, wb, bb, stride)
+            ma, mb = kernels.conv_pair_many(x[None], wa, ba, wb, bb, stride)
+            np.testing.assert_array_equal(a, ma[0])
+            np.testing.assert_array_equal(b, mb[0])
 
 
 def _conv_backward_loops(x, wa, wb, best_j, d_a, d_b, stride):
@@ -164,102 +150,3 @@ def test_zero_runs_matches_naive_on_random_arrays():
         data = rng.integers(0, 3, size=n, dtype=np.uint8)
         starts, ends = kernels.zero_runs(data)
         assert list(zip(starts.tolist(), ends.tolist())) == naive_zero_runs(data.tobytes())
-
-
-# -- backend agreement -------------------------------------------------------
-
-
-def _both(fn, restore_to):
-    out = {}
-    for name in ("numpy", "numba"):
-        kernels.set_backend(name)
-        out[name] = fn()
-    kernels.set_backend(restore_to)
-    return out["numpy"], out["numba"]
-
-
-@needs_numba
-def test_conv_pair_backends_agree(restore_backend):
-    rng = np.random.default_rng(6)
-    x, wa, ba, wb, bb = _random_case(rng, t=128, window=16, stride=16)
-    (a0, b0), (a1, b1) = _both(
-        lambda: kernels.conv_pair(x, wa, ba, wb, bb, 16), kernels.current_backend()
-    )
-    np.testing.assert_allclose(a0, a1, rtol=1e-10)
-    np.testing.assert_allclose(b0, b1, rtol=1e-10)
-
-
-@needs_numba
-def test_conv_pair_backends_agree_float32(restore_backend):
-    rng = np.random.default_rng(7)
-    x, wa, ba, wb, bb = _random_case(rng, t=128, window=16, stride=16, dtype=np.float32)
-    (a0, b0), (a1, b1) = _both(
-        lambda: kernels.conv_pair(x, wa, ba, wb, bb, 16), kernels.current_backend()
-    )
-    # float32 with different accumulation orders: looser bound
-    np.testing.assert_allclose(a0, a1, rtol=2e-4, atol=2e-4)
-    np.testing.assert_allclose(b0, b1, rtol=2e-4, atol=2e-4)
-
-
-@needs_numba
-def test_conv_pair_many_backends_agree(restore_backend):
-    rng = np.random.default_rng(8)
-    _, wa, ba, wb, bb = _random_case(rng)
-    xs = rng.normal(size=(5, 40, 5))
-    (a0, b0), (a1, b1) = _both(
-        lambda: kernels.conv_pair_many(xs, wa, ba, wb, bb, 4), kernels.current_backend()
-    )
-    np.testing.assert_allclose(a0, a1, rtol=1e-10)
-    np.testing.assert_allclose(b0, b1, rtol=1e-10)
-
-
-@needs_numba
-def test_conv_backward_backends_agree(restore_backend):
-    rng = np.random.default_rng(9)
-    x, wa, ba, wb, bb = _random_case(rng)
-    best_j = rng.integers(0, 9, size=3)
-    d_a = rng.normal(size=3)
-    d_b = rng.normal(size=3)
-    r0, r1 = _both(
-        lambda: kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, 4),
-        kernels.current_backend(),
-    )
-    for t0, t1 in zip(r0, r1):
-        np.testing.assert_allclose(t0, t1, rtol=1e-10)
-
-
-@needs_numba
-def test_embedding_scatter_backends_agree(restore_backend):
-    rng = np.random.default_rng(10)
-    tokens = rng.integers(0, 257, size=200).astype(np.int64)
-    d_x = rng.normal(size=(200, 8))
-
-    def run():
-        d_emb = np.zeros((257, 8))
-        kernels.embedding_scatter(tokens, d_x, d_emb)
-        return d_emb
-
-    e0, e1 = _both(run, kernels.current_backend())
-    np.testing.assert_allclose(e0, e1, rtol=1e-10)
-
-
-@needs_numba
-def test_zero_runs_backends_agree(restore_backend):
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        data = rng.integers(0, 2, size=int(rng.integers(0, 500)), dtype=np.uint8)
-        (s0, e0), (s1, e1) = _both(
-            lambda: kernels.zero_runs(data), kernels.current_backend()
-        )
-        np.testing.assert_array_equal(s0, s1)
-        np.testing.assert_array_equal(e0, e1)
-
-
-def test_set_backend_rejects_unknown(restore_backend):
-    with pytest.raises(ConfigInvalid):
-        kernels.set_backend("cuda")
-
-
-def test_current_backend_reports_selection(restore_backend):
-    kernels.set_backend("numpy")
-    assert kernels.current_backend() == "numpy"

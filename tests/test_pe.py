@@ -199,18 +199,6 @@ def test_caves_match_naive_on_random_sections():
         assert list(layout.code_caves) == expect
 
 
-# -- serialization ------------------------------------------------------------------
-
-
-def test_layout_json_round_trip(small_corpus):
-    manifest, records, _ = small_corpus
-    for rec in records[:10]:
-        data = load_capped(manifest.root / rec.path)
-        layout = pe.parse_pe(data)
-        again = pe.layout_from_json(pe.layout_to_json(layout))
-        assert again == layout
-
-
 def test_build_honors_table_gap_and_overlay():
     content = b"\x01" * 100
     overlay = b"OVERLAY!" * 4
