@@ -385,7 +385,9 @@ def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> At
         cursor = inj_base
         va = va_base
         for k, (content, raw) in enumerate(payloads):
-            entries += _section_entry_bytes(f".gm{k}", len(content), va, raw, cursor if raw else 0)
+            entries += pe.section_entry_bytes(
+                f".gm{k}", len(content), va, raw, cursor if raw else 0, 0x40000040  # initialized data, readable
+            )
             if content:
                 spans.append((cursor, cursor + len(content)))
             cursor += raw
@@ -404,17 +406,6 @@ def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> At
 
     ga = ga_optimize(oracle, 2 * cfg.n_sections, lambda g: build_full(g)[0], cfg.ga)
     return _finish("gamma", len(data), build_full, ga, cfg.ga.seed)
-
-
-def _section_entry_bytes(name: str, vsize: int, va: int, raw: int, off: int) -> bytes:
-    import struct
-
-    blob = bytearray(pe.SECTION_ENTRY_LEN)
-    encoded = name.encode("latin-1")[:8]
-    blob[: len(encoded)] = encoded
-    struct.pack_into("<IIII", blob, 8, max(vsize, 1), va, raw, off)
-    struct.pack_into("<I", blob, 36, 0x40000040)  # initialized data, readable
-    return bytes(blob)
 
 
 # -- code caves ---------------------------------------------------------------------

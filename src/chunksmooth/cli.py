@@ -28,17 +28,12 @@ EXIT_NUMERIC = 4
 
 
 def _detector_spec(args) -> DetectorSpec:
+    given = {k: v for k, v in (("p", args.p), ("n_views", args.n_views)) if v is not None}
     if args.detector == "ns":
-        if args.p is not None or args.n_views is not None:
+        if given:
             print("note: --p and --n-views are ignored for the plain detector", file=sys.stderr)
-        ablation = None
-    else:
-        ablation = AblationConfig(
-            scheme=args.detector,
-            p=args.p if args.p is not None else 0.05,
-            n_views=args.n_views if args.n_views is not None else 100,
-            seed=args.seed,
-        )
+        return DetectorSpec(kind="ns")
+    ablation = AblationConfig(scheme=args.detector, seed=args.seed, **given)
     return DetectorSpec(kind=args.detector, ablation=ablation)
 
 
@@ -201,20 +196,28 @@ def cmd_report(args) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser], argparse.ArgumentParser
+]:
+    """The top-level parser, its subcommand parsers by name, and a parser
+    of the global flags plus the subcommand name that skips everything else."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="key=value file supplying defaults for the subcommand")
+    flags.add_argument(
+        "--seed", type=int, default=0, help="seed for subcommands that take one, unless they set their own"
+    )
+    flags.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for subcommands that take them, unless they set their own",
+    )
     parser = argparse.ArgumentParser(
         prog="chunksmooth",
         description="Chunk-based smoothing for byte-level malware detection: "
         "corpus synthesis, training, certification and evasion benchmarks.",
+        parents=[flags],
     )
-    parser.add_argument("--config", help="key=value file supplying defaults for the subcommand")
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for subcommands that take one, unless they set their own"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for subcommands that take them, unless they set their own",
-    )
+    head = argparse.ArgumentParser(prog=parser.prog, add_help=False, parents=[flags])
+    head.add_argument("command", nargs="?")
     # The subcommands' own --seed/--threads leave the namespace alone unless
     # given, so they beat the global flag and the global flag beats the default.
     seed = argparse.ArgumentParser(add_help=False)
@@ -230,10 +233,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "gen-corpus", help="synthesize a labeled corpus", parents=[seed]
     )
     p.add_argument("--out", required=True)
-    p.add_argument("--n-files", type=int, default=2000)
-    p.add_argument("--size-min", type=int, default=24576)
-    p.add_argument("--size-max", type=int, default=65536)
-    p.add_argument("--malicious-ratio", type=float, default=0.5)
+    p.add_argument("--n-files", type=int, default=SynthConfig.n_files)
+    p.add_argument("--size-min", type=int, default=SynthConfig.size_range[0])
+    p.add_argument("--size-max", type=int, default=SynthConfig.size_range[1])
+    p.add_argument("--malicious-ratio", type=float, default=SynthConfig.malicious_ratio)
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,val,test split fractions")
     p.set_defaults(func=cmd_gen_corpus)
 
@@ -243,13 +246,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--detector", choices=list(smoothing.DETECTOR_KINDS), default="sca")
-    p.add_argument("--p", type=float, default=None, help="chunk fraction (ablation detectors)")
-    p.add_argument("--n-views", type=int, default=None, help="votes per file (ablation detectors)")
-    p.add_argument("--profile", choices=sorted(neural.PROFILES), default="desk")
-    p.add_argument("--max-epochs", type=int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--p", type=float, help="chunk fraction (ablation detectors)")
+    p.add_argument("--n-views", type=int, help="votes per file (ablation detectors)")
+    p.add_argument("--profile", choices=sorted(neural.PROFILES), default=TrainConfig.profile)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.set_defaults(func=cmd_train)
 
     p = commands["classify"] = sub.add_parser("classify", help="classify files with a trained checkpoint")
@@ -274,9 +277,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True)
     p.add_argument("--attack", choices=list(harness.ATTACK_NAMES), required=True)
     p.add_argument("--param", action="append", help="attack knob, key=value (repeatable)")
-    p.add_argument("--n-files", type=int, default=50)
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--generations", type=int, default=100)
+    p.add_argument("--n-files", type=int, default=CampaignConfig.n_files)
+    p.add_argument("--population", type=int, default=GaConfig.population)
+    p.add_argument("--generations", type=int, default=GaConfig.generations)
     p.add_argument("--out", required=True, help="JSONL record output")
     p.add_argument("--adv-dir", help="also write adversarial files here")
     p.set_defaults(func=cmd_attack)
@@ -287,44 +290,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--csv", help="also write the table as CSV")
     p.set_defaults(func=cmd_report)
 
-    return parser, commands
-
-
-_VALUE_GLOBALS = ("--config", "--seed", "--threads")
-
-
-def _find_command(argv: list[str], commands: dict) -> str | None:
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token in _VALUE_GLOBALS:
-            skip = True
-            continue
-        if token.startswith("-"):
-            continue
-        return token if token in commands else None
-    return None
+    return parser, commands, head
 
 
 def _apply_config_file(
-    parser: argparse.ArgumentParser, commands: dict, argv: list[str]
+    parser: argparse.ArgumentParser, commands: dict, path: str, command: str | None
 ) -> None:
     """Seed subcommand defaults from a key=value file named by --config.
 
     Command-line flags still win: set_defaults only fills in what the
     user did not pass explicitly.  seed and threads become top-level
     defaults, so that a global --seed/--threads beats them too."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None:
-        return
-    command = _find_command(argv, commands)
     target = commands.get(command, parser)
     actions = {a.dest: a for a in target._actions if a.dest != "help"}
 
@@ -357,9 +333,11 @@ def _apply_config_file(
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser, commands, head = build_parser()
     try:
-        _apply_config_file(parser, commands, argv)
+        known, _ = head.parse_known_args(argv)
+        if known.config is not None:
+            _apply_config_file(parser, commands, known.config, known.command)
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +21,18 @@ import numpy as np
 from . import attacks, neural, pe, smoothing
 from .attacks import GaConfig
 from .corpus import LABEL_BENIGN, LABEL_MALICIOUS, CorpusManifest, ManifestEntry, load_capped
-from .errors import ConfigInvalid, EmptyCorpus
+from .errors import ConfigInvalid, DataError, EmptyCorpus, IoFailure
 from .smoothing import DetectorSpec
 
-ATTACK_NAMES = ("padding", "shift", "gamma", "caves")
+# attack name -> (the config class that declares its knobs, the attack);
+# gamma also takes the harvested benign section pool
+ATTACKS = {
+    "padding": (attacks.PaddingConfig, attacks.attack_padding),
+    "shift": (attacks.ShiftConfig, attacks.attack_shift),
+    "gamma": (attacks.GammaConfig, attacks.attack_gamma),
+    "caves": (attacks.CavesConfig, attacks.attack_caves),
+}
+ATTACK_NAMES = tuple(ATTACKS)
 
 
 # -- clean evaluation ----------------------------------------------------------
@@ -46,25 +56,12 @@ class EvalReport:
         return self.seconds / self.n if self.n else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "split": self.split,
-            "n": self.n,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "seconds": self.seconds,
-            "seconds_per_example": self.seconds_per_example,
-        }
+        return {**asdict(self), "seconds_per_example": self.seconds_per_example}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        fields = ("detector", "split", "n", "tp", "fp", "tn", "fn", "accuracy", "f1", "seconds")
         try:
-            return cls(**{name: d[name] for name in fields})
+            return cls(**{f.name: d[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise ConfigInvalid(f"evaluation report is missing field {exc.args[0]!r}") from exc
 
@@ -186,13 +183,43 @@ class CampaignConfig:
     n_files: int = 50
     seed: int = 0
     ga: GaConfig = field(default_factory=GaConfig)
-    params: dict = field(default_factory=dict)  # attack-specific knobs
+    params: dict = field(default_factory=dict)  # attack knobs as given, parsed by attack_config
 
     def __post_init__(self):
         if self.attack not in ATTACK_NAMES:
             raise ConfigInvalid(f"unknown attack {self.attack!r}, expected one of {ATTACK_NAMES}")
         if self.n_files < 1:
             raise ConfigInvalid("n_files must be >= 1")
+        self.attack_config()  # unknown knobs and bad values fail here, before any target loads
+
+    def attack_config(self):
+        """The attack's config: params parsed against its fields, with ga.
+
+        Integer knobs take ints or integer strings, float knobs anything
+        float() takes, bool knobs true/false/1/0 in any case."""
+        cls = ATTACKS[self.attack][0]
+        types = typing.get_type_hints(cls)
+        knobs = [f.name for f in fields(cls) if f.name != "ga"]
+        typed = {}
+        for key, value in self.params.items():
+            if key not in knobs:
+                raise ConfigInvalid(f"unknown {self.attack} knob {key!r}, expected one of {knobs}")
+            try:
+                typed[key] = _parse_knob(types[key], value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalid(f"bad value {value!r} for {self.attack} knob {key!r}: {exc}") from exc
+        return cls(ga=self.ga, **typed)
+
+
+def _parse_knob(kind: type, value):
+    if kind is bool:
+        text = str(value).strip().lower()
+        if text not in ("true", "false", "1", "0"):
+            raise ValueError("expected true, false, 1 or 0")
+        return text in ("true", "1")
+    if kind is int and not isinstance(value, str):
+        return operator.index(value)  # refuses floats, which int() would truncate
+    return kind(value)
 
 
 def select_targets(manifest: CorpusManifest, n_files: int, seed: int) -> list[ManifestEntry]:
@@ -227,44 +254,6 @@ def _file_seed(base_seed: int, digest: str) -> int:
     return int(np.random.SeedSequence([base_seed, int(digest[:16], 16)]).generate_state(1)[0])
 
 
-def run_single_attack(
-    name: str,
-    data: bytes,
-    oracle: attacks.DetectorOracle,
-    ga: GaConfig,
-    params: dict,
-    pool: list[bytes] | None = None,
-) -> attacks.AttackResult:
-    if name == "padding":
-        cfg = attacks.PaddingConfig(
-            n_pad=int(params.get("n_pad", 10000)),
-            optimize_slack=bool(params.get("optimize_slack", True)),
-            ga=ga,
-        )
-        return attacks.attack_padding(data, oracle, cfg)
-    if name == "shift":
-        cfg = attacks.ShiftConfig(extension=int(params.get("extension", 4096)), ga=ga)
-        return attacks.attack_shift(data, oracle, cfg)
-    if name == "gamma":
-        if not pool:
-            raise ConfigInvalid("gamma needs a harvested benign section pool")
-        cfg = attacks.GammaConfig(
-            n_sections=int(params.get("n_sections", 10)),
-            size_cap=float(params.get("size_cap", 2.0)),
-            ga=ga,
-        )
-        return attacks.attack_gamma(data, oracle, pool, cfg)
-    if name == "caves":
-        cfg = attacks.CavesConfig(
-            min_cave_len=int(params.get("min_cave_len", 32)),
-            max_units_per_cave=int(params.get("max_units_per_cave", 8)),
-            size_cap=float(params.get("size_cap", 2.0)),
-            ga=ga,
-        )
-        return attacks.attack_caves(data, oracle, cfg)
-    raise ConfigInvalid(f"unknown attack {name!r}")
-
-
 def run_attack_campaign(
     params: neural.MalConvParams,
     spec: DetectorSpec,
@@ -281,20 +270,15 @@ def run_attack_campaign(
     targets = select_targets(manifest, cfg.n_files, cfg.seed)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    attack_cfg = cfg.attack_config()
+    attack = ATTACKS[cfg.attack][1]
+    pool_arg = (pool,) if cfg.attack == "gamma" else ()
     records = []
     for entry in targets:
         data = load_capped(manifest.resolve(entry))
         oracle = attacks.make_oracle(params, spec)
-        ga = GaConfig(
-            population=cfg.ga.population,
-            generations=cfg.ga.generations,
-            p_solution_mut=cfg.ga.p_solution_mut,
-            p_gene_mut=cfg.ga.p_gene_mut,
-            tournament_k=cfg.ga.tournament_k,
-            elitism=cfg.ga.elitism,
-            seed=_file_seed(cfg.seed, entry.sha256),
-        )
-        result = run_single_attack(cfg.attack, data, oracle, ga, cfg.params, pool)
+        ga = replace(cfg.ga, seed=_file_seed(cfg.seed, entry.sha256))
+        result = attack(data, oracle, *pool_arg, replace(attack_cfg, ga=ga))
         if out_dir is not None:
             (out_dir / f"{entry.sha256[:16]}.adv.bin").write_bytes(result.adversarial)
         records.append(
@@ -322,8 +306,24 @@ def write_jsonl(records: list[dict], path: Path) -> None:
 
 
 def read_jsonl(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """One dict per non-blank line; a line that is not a UTF-8 JSON object
+    raises DataError naming path:line."""
+    try:
+        lines = Path(path).read_bytes().splitlines()
+    except OSError as exc:
+        raise IoFailure(f"cannot read records {path}: {exc}") from exc
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise DataError(f"{path}:{lineno}: not a UTF-8 JSON record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
+        records.append(rec)
+    return records
 
 
 # -- robustness summary ----------------------------------------------------------
@@ -342,6 +342,9 @@ class RobustnessRow:
     mean_queries: float
 
 
+_RECORD_KEYS = ("attack", "detector", "seed", "evaded", "queries")
+
+
 def _params_key(params: dict) -> str:
     return ",".join(f"{k}={params[k]}" for k in sorted(params)) if params else ""
 
@@ -355,7 +358,10 @@ def robustness_table(
     evaluation for the clean_accuracy column."""
     groups: dict[tuple[str, str, str], dict[int, list[dict]]] = {}
     params_by_key: dict[str, dict] = {}
-    for rec in records:
+    for i, rec in enumerate(records):
+        missing = [k for k in _RECORD_KEYS if k not in rec]
+        if missing:
+            raise DataError(f"attack record {i} lacks {', '.join(missing)}")
         pkey = _params_key(rec.get("params", {}))
         params_by_key[pkey] = rec.get("params", {})
         key = (rec["attack"], rec["detector"], pkey)

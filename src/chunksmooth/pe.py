@@ -59,10 +59,6 @@ class SectionEntry:
     raw_offset: int
     characteristics: int
 
-    @property
-    def raw_span(self) -> tuple[int, int]:
-        return (self.raw_offset, self.raw_offset + self.raw_size)
-
 
 @dataclass(frozen=True)
 class PeLayout:
@@ -99,6 +95,19 @@ class PeLayout:
 
     def section_entry_offset(self, index: int) -> int:
         return self.section_table_offset + index * SECTION_ENTRY_LEN
+
+
+def section_entry_bytes(
+    name: str, virtual_size: int, virtual_address: int, raw_size: int, raw_offset: int, characteristics: int
+) -> bytes:
+    """One section-table entry; the name is cut to 8 bytes and a zero
+    virtual size is written as 1."""
+    blob = bytearray(SECTION_ENTRY_LEN)
+    encoded = name.encode("latin-1")[:8]
+    blob[: len(encoded)] = encoded
+    struct.pack_into("<IIII", blob, 8, max(virtual_size, 1), virtual_address, raw_size, raw_offset)
+    struct.pack_into("<I", blob, 36, characteristics)
+    return bytes(blob)
 
 
 def _used_len(content: bytes) -> int:
@@ -323,18 +332,9 @@ def build_pe(
 
     for i, (spec, off, raw, va_i) in enumerate(zip(sections, raw_offsets, raw_sizes, vas)):
         entry = table_offset + i * SECTION_ENTRY_LEN
-        name_bytes = spec.name.encode("latin-1")[:8]
-        buf[entry : entry + len(name_bytes)] = name_bytes
-        struct.pack_into(
-            "<IIII",
-            buf,
-            entry + 8,
-            max(len(spec.content), 1),
-            va_i,
-            raw,
-            off,
+        buf[entry : entry + SECTION_ENTRY_LEN] = section_entry_bytes(
+            spec.name, len(spec.content), va_i, raw, off, spec.characteristics
         )
-        struct.pack_into("<I", buf, entry + 36, spec.characteristics)
         buf[off : off + len(spec.content)] = spec.content
 
     buf[overlay_start:] = overlay

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from _oracles import metrics_oracle
-from chunksmooth import cli, harness, neural, pe, smoothing
+from chunksmooth import attacks, cli, harness, neural, pe, smoothing
 from chunksmooth.ablation import AblationConfig
 from chunksmooth.attacks import GaConfig
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, read_manifest
-from chunksmooth.errors import ConfigInvalid, EmptyCorpus
+from chunksmooth.errors import ConfigInvalid, DataError, EmptyCorpus, IoFailure
 from chunksmooth.harness import (
     CampaignConfig,
     EvalReport,
@@ -341,6 +341,48 @@ def test_attack_campaign_gamma_uses_pool(desk_model, small_corpus):
         harness.run_attack_campaign(params, spec, manifest, cfg, pool=None)
 
 
+@pytest.mark.parametrize(
+    "value, slack", [("0", False), ("false", False), ("FALSE", False), ("1", True), ("True", True)]
+)
+def test_attack_campaign_parses_bool_knobs(desk_model, small_corpus, value, slack):
+    params, spec, _ = desk_model
+    manifest, _, _ = small_corpus
+    cfg = CampaignConfig(
+        attack="padding",
+        n_files=1,
+        ga=GaConfig(population=2, generations=1),
+        params={"n_pad": "64", "optimize_slack": value},
+    )
+    (rec,) = harness.run_attack_campaign(params, spec, manifest, cfg)
+    end = rec["payload_spans"][-1][1]
+    assert rec["payload_spans"][-1] == [end - 64, end]  # the overlay
+    assert (len(rec["payload_spans"]) > 1) == slack
+    assert rec["params"] == {"n_pad": "64", "optimize_slack": value}  # echoed as given
+
+
+@pytest.mark.parametrize(
+    "attack, knobs",
+    [
+        ("padding", {"n_pad": "abc"}),
+        ("padding", {"n_padd": "5"}),
+        ("padding", {"optimize_slack": "maybe"}),
+        ("shift", {"extension": "4096.5"}),
+        ("shift", {"extension": 4096.5}),
+        ("gamma", {"size_cap": "big"}),
+        ("caves", {"n_pad": 1}),
+    ],
+)
+def test_campaign_config_rejects_bad_knobs(attack, knobs):
+    with pytest.raises(ConfigInvalid, match=next(iter(knobs))):
+        CampaignConfig(attack=attack, params=knobs)
+
+
+def test_campaign_config_types_knobs():
+    cfg = CampaignConfig(attack="gamma", params={"n_sections": " 3 ", "size_cap": "1.5"}, ga=GaConfig(seed=4))
+    assert cfg.attack_config() == attacks.GammaConfig(n_sections=3, size_cap=1.5, ga=GaConfig(seed=4))
+    assert CampaignConfig(attack="caves").attack_config() == attacks.CavesConfig()
+
+
 # -- command line ------------------------------------------------------------------------
 
 
@@ -514,6 +556,54 @@ def test_cli_attack_and_report(cli_env, tmp_path, capsys):
     assert parsed[1][5] != ""  # clean accuracy came from the eval report
 
 
+@pytest.mark.parametrize(
+    "attack, knob", [("padding", "n_pad=abc"), ("padding", "n_padd=5"), ("shift", "extension=4096.5")]
+)
+def test_cli_attack_rejects_bad_knobs(cli_env, tmp_path, capsys, attack, knob):
+    adv_dir = tmp_path / "adv"
+    rc = cli.main(
+        [
+            "attack", "--model", str(cli_env["model"]), "--corpus", str(cli_env["corpus"]),
+            "--attack", attack, "--param", knob, "--n-files", "1", "--population", "2",
+            "--generations", "1", "--out", str(tmp_path / "r.jsonl"), "--adv-dir", str(adv_dir),
+        ]
+    )
+    assert rc == 2
+    assert knob.split("=")[0] in capsys.readouterr().err
+    assert not adv_dir.exists() or not any(adv_dir.iterdir())
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+_NO_DETECTOR = {k: v for k, v in _campaign_records("padding", "sca", {}, 0, 1, 0)[0].items() if k != "detector"}
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b'{"attack": "padding"}\n{"attack": \n', "r.jsonl:2"),
+        (b'{"attack": "padding"}\n\n"\xff\xfe"\n', "r.jsonl:3"),
+        (b"[1, 2]\n", "r.jsonl:1"),
+        (json.dumps(_NO_DETECTOR).encode() + b"\n", "detector"),
+    ],
+    ids=["bad-json", "not-utf8", "not-an-object", "no-detector"],
+)
+def test_cli_report_rejects_bad_records(tmp_path, capsys, content, where):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(content)
+    assert cli.main(["report", str(path)]) == 3
+    assert where in capsys.readouterr().err
+
+
+def test_report_inputs_raise_data_errors(tmp_path):
+    with pytest.raises(IoFailure):
+        harness.read_jsonl(tmp_path / "missing.jsonl")
+    good = _campaign_records("padding", "sca", {}, 0, 2, 1)
+    for key in ("attack", "detector", "seed", "evaded", "queries"):
+        broken = [good[0], {k: v for k, v in good[1].items() if k != key}]
+        with pytest.raises(DataError, match=key):
+            robustness_table(broken)
+
+
 def test_cli_ns_warns_that_p_is_ignored(cli_env, tmp_path, capsys):
     model = tmp_path / "ns.bin"
     rc = cli.main(
@@ -551,9 +641,17 @@ def test_cli_config_file_defaults_and_overrides(cli_env, tmp_path):
     assert rc == 0
     assert len(read_manifest(out_b / "manifest.csv").entries) == 6
 
+    # the --config=PATH form, and a config file that supplies a required option
+    out_d = tmp_path / "d"
+    with_out = tmp_path / "out.cfg"
+    with_out.write_text(cfg.read_text() + f"out = {out_d}\n")
+    assert cli.main([f"--config={with_out}", "gen-corpus"]) == 0
+    assert len(read_manifest(out_d / "manifest.csv").entries) == 10
+
     bad = tmp_path / "bad.cfg"
     bad.write_text("no-such-option = 1\n")
     assert cli.main(["--config", str(bad), "gen-corpus", "--out", str(tmp_path / "c")]) == 2
+    assert cli.main(["--config", str(bad)]) == 2
 
 
 def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
