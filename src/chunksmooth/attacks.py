@@ -258,6 +258,10 @@ class PaddingConfig:
     optimize_slack: bool = True
     ga: GaConfig = field(default_factory=GaConfig)
 
+    def __post_init__(self):
+        if self.n_pad < 0:
+            raise ConfigInvalid(f"n_pad must be >= 0, got {self.n_pad}")
+
 
 def attack_padding(data: bytes, oracle, cfg: PaddingConfig) -> AttackResult:
     """Rewrite slack bytes and append an overlay payload, GA-optimized."""
@@ -290,6 +294,10 @@ class ShiftConfig:
     extension: int = 4096
     ga: GaConfig = field(default_factory=GaConfig)
 
+    def __post_init__(self):
+        if self.extension <= 0:
+            raise ConfigInvalid(f"extension must be positive, got {self.extension}")
+
 
 def _first_content_offset(layout: PeLayout) -> int:
     offsets = [s.raw_offset for s in layout.sections if s.raw_size > 0]
@@ -299,8 +307,6 @@ def _first_content_offset(layout: PeLayout) -> int:
 def attack_shift(data: bytes, oracle, cfg: ShiftConfig) -> AttackResult:
     """Insert an aligned, GA-controlled gap between headers and the first
     section's raw data, patching raw offsets and the header-size field."""
-    if cfg.extension <= 0:
-        raise ConfigInvalid("extension must be positive")
     layout = pe.parse_pe(data)
     if layout.file_alignment <= 0:
         raise AlignmentUnsatisfiable("file alignment is zero or missing")
@@ -329,13 +335,17 @@ class GammaConfig:
     size_cap: float = 2.0
     ga: GaConfig = field(default_factory=GaConfig)
 
+    def __post_init__(self):
+        if self.n_sections < 1:
+            raise ConfigInvalid(f"n_sections must be >= 1, got {self.n_sections}")
+        if not (self.size_cap >= 1.0):
+            raise ConfigInvalid(f"size_cap must be >= 1, got {self.size_cap}")
+
 
 def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> AttackResult:
     """Append new sections whose contents are prefixes of harvested benign
     section bodies.  The genome holds one (pool index, length fraction)
     gene pair per injected section; total growth stays under size_cap."""
-    if cfg.n_sections < 1:
-        raise ConfigInvalid("n_sections must be >= 1")
     if not pool:
         raise ConfigInvalid("benign section pool is empty")
     layout = pe.parse_pe(data)
@@ -414,9 +424,17 @@ def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> At
 @dataclass(frozen=True)
 class CavesConfig:
     min_cave_len: int = 32
-    max_units_per_cave: int = 8
+    max_units_per_cave: int = 8  # 0 leaves the file as it is
     size_cap: float = 2.0
     ga: GaConfig = field(default_factory=GaConfig)
+
+    def __post_init__(self):
+        if self.min_cave_len < 1:
+            raise ConfigInvalid(f"min_cave_len must be >= 1, got {self.min_cave_len}")
+        if self.max_units_per_cave < 0:
+            raise ConfigInvalid(f"max_units_per_cave must be >= 0, got {self.max_units_per_cave}")
+        if not (self.size_cap >= 1.0):
+            raise ConfigInvalid(f"size_cap must be >= 1, got {self.size_cap}")
 
 
 def attack_caves(data: bytes, oracle, cfg: CavesConfig) -> AttackResult:

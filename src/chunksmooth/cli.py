@@ -17,7 +17,7 @@ from . import corpus, harness, neural, smoothing
 from .ablation import AblationConfig
 from .attacks import GaConfig
 from .corpus import SynthConfig, load_capped, read_manifest, temporal_split
-from .errors import ConfigError, ConfigInvalid, DataError, NumericError
+from .errors import ConfigError, ConfigInvalid, DataError, IoFailure, NumericError
 from .harness import CampaignConfig
 from .smoothing import DetectorSpec, TrainConfig
 
@@ -181,9 +181,13 @@ def cmd_report(args) -> int:
         clean = {}
         for path in args.clean:
             try:
-                payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise ConfigInvalid(f"cannot read evaluation report {path}: {exc}") from exc
+                raw = Path(path).read_bytes()
+            except OSError as exc:
+                raise IoFailure(f"cannot read evaluation report {path}: {exc}") from exc
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+                raise DataError(f"{path}: not a UTF-8 JSON evaluation report: {exc}") from exc
             report = harness.EvalReport.from_dict(payload)
             clean[report.detector] = report
     rows = harness.robustness_table(records, clean=clean)

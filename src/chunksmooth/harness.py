@@ -60,10 +60,21 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        try:
-            return cls(**{f.name: d[f.name] for f in fields(cls)})
-        except KeyError as exc:
-            raise ConfigInvalid(f"evaluation report is missing field {exc.args[0]!r}") from exc
+        """The report to_dict wrote; a payload that is not an object, or
+        lacks a field or holds one of the wrong JSON type, raises DataError."""
+        if not isinstance(d, dict):
+            raise DataError(f"evaluation report must be a JSON object, got {type(d).__name__}")
+        hints = typing.get_type_hints(cls)
+        values = {}
+        for f in fields(cls):
+            if f.name not in d:
+                raise DataError(f"evaluation report is missing field {f.name!r}")
+            want = hints[f.name]
+            value = d[f.name]
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                raise DataError(f"evaluation report field {f.name!r} is not a {want.__name__}: {value!r}")
+            values[f.name] = value
+        return cls(**values)
 
 
 def _confusion(truth: list[str], predicted: list[str]) -> tuple[int, int, int, int]:

@@ -1,7 +1,11 @@
 """Hot numeric kernels, written as vectorized numpy.
 
 The conv kernels become one GEMM over the stride-spaced window columns;
-the scatters use ``np.add.at``.  Every kernel is deterministic run to
+the scatters use ``np.add.at``.  Backward touches only the input rows
+under the pooled windows (at most n_filters * window of them): the conv
+gradient is accumulated on those rows and only they are scattered into
+the embedding table, with the same non-zero terms in the same order as
+a dense pass over every token.  Every kernel is deterministic run to
 run.  perfbench/ times each kernel at fixed shapes (``kernels.case.*``).
 """
 
@@ -48,8 +52,9 @@ def conv_pair_many(xs, wa, ba, wb, bb, stride):
 #
 # Global max pooling routes the gradient of filter f to one window position
 # best_j[f]; d_a/d_b are the gradients w.r.t. that position's pre-activations.
-# Returns weight/bias gradients plus d_x, the gradient w.r.t. the embedded
-# input (to be scattered into the embedding table by embedding_scatter).
+# Returns weight/bias gradients plus the gradient w.r.t. the embedded input,
+# which is non-zero only on the rows under the pooled windows: those rows
+# (sorted, unique) and their gradient, ready for embedding_scatter.
 
 
 def conv_backward(x, wa, wb, best_j, d_a, d_b, stride):
@@ -58,12 +63,13 @@ def conv_backward(x, wa, wb, best_j, d_a, d_b, stride):
     slices = win[best_j * stride]  # (f, e, w)
     d_wa = d_a[:, None, None] * slices
     d_wb = d_b[:, None, None] * slices
-    d_x = np.zeros_like(x)
     contrib = d_a[:, None, None] * wa + d_b[:, None, None] * wb  # (f, e, w)
     contrib = contrib.transpose(0, 2, 1)  # (f, w, e)
     pos = best_j[:, None] * stride + np.arange(w)[None, :]  # (f, w)
-    np.add.at(d_x, pos.reshape(-1), contrib.reshape(f * w, e))
-    return d_wa, d_a.copy(), d_wb, d_b.copy(), d_x
+    rows, slot = np.unique(pos, return_inverse=True)
+    d_rows = np.zeros((rows.size, e), dtype=x.dtype)
+    np.add.at(d_rows, slot.reshape(-1), contrib.reshape(f * w, e))
+    return d_wa, d_a.copy(), d_wb, d_b.copy(), rows, d_rows
 
 
 # -- embedding scatter ----------------------------------------------------------

@@ -27,6 +27,7 @@ from . import kernels
 from .ablation import ABLATE_TOKEN, VOCAB_SIZE
 from .errors import (
     BadMagic,
+    DataError,
     IoFailure,
     NonFiniteLoss,
     ShapeMismatch,
@@ -119,12 +120,9 @@ def init_params(profile: ModelProfile, seed: int, dtype=np.float32) -> MalConvPa
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) <= 1 cannot overflow; each branch is the stable form for its sign
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def _sigmoid_scalar(x: float) -> float:
@@ -213,11 +211,11 @@ def backward(params: MalConvParams, cache: ForwardCache, label: int) -> dict[str
     d_a = d_h * cache.gate_star
     d_b = d_h * cache.a_star * cache.gate_star * (1 - cache.gate_star)
 
-    d_wa, d_ba, d_wb, d_bb, d_x = kernels.conv_backward(
+    d_wa, d_ba, d_wb, d_bb, rows, d_rows = kernels.conv_backward(
         cache.x, params.wa, params.wb, cache.best_j, d_a, d_b, pr.stride
     )
     d_emb = np.zeros_like(params.emb)
-    kernels.embedding_scatter(cache.tokens, d_x, d_emb)
+    kernels.embedding_scatter(cache.tokens[rows], d_rows, d_emb)
     return {
         "emb": d_emb,
         "wa": d_wa,
@@ -337,11 +335,22 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> tuple[MalConvParams, 
     blob_len = struct.unpack_from("<I", raw, 6)[0]
     if 10 + blob_len > len(raw):
         raise TruncatedFile(f"{path}: JSON block runs past end of file")
-    meta = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
-    m = meta["model"]
-    profile = ModelProfile(
-        emb_dim=m["emb_dim"], n_filters=m["n_filters"], window=m["window"], stride=m["stride"]
-    )
+    try:
+        meta = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DataError(f"{path}: meta block is not UTF-8 JSON: {exc}") from exc
+    m = meta.get("model") if isinstance(meta, dict) else None
+    if not isinstance(m, dict):
+        raise DataError(f"{path}: meta block has no model object")
+    dims = {}
+    for key in ("emb_dim", "n_filters", "window", "stride"):
+        value = m.get(key)
+        if type(value) is not int or value < 1:
+            raise DataError(f"{path}: model {key} must be an int >= 1, got {value!r}")
+        dims[key] = value
+    if dims["stride"] > dims["window"]:
+        raise DataError(f"{path}: model stride {dims['stride']} exceeds window {dims['window']}")
+    profile = ModelProfile(**dims)
     shapes = [
         (VOCAB_SIZE, profile.emb_dim),
         (profile.n_filters, profile.emb_dim, profile.window),
@@ -351,14 +360,14 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> tuple[MalConvParams, 
         (profile.n_filters,),
         (1,),
     ]
-    need = sum(int(np.prod(s)) for s in shapes) * 4
+    need = sum(math.prod(s) for s in shapes) * 4
     body = raw[10 + blob_len :]
     if len(body) != need:
         raise TruncatedFile(f"{path}: tensor payload is {len(body)} bytes, expected {need}")
     tensors = []
     off = 0
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
         tensors.append(arr.astype(dtype))
         off += count * 4

@@ -34,9 +34,21 @@ from .corpus import (
     CorpusManifest,
     load_capped,
 )
-from .errors import ConfigInvalid, EmptyCorpus, NotLengthPreserving, NotSca
+from .errors import ConfigInvalid, DataError, EmptyCorpus, NotLengthPreserving, NotSca
 
 DETECTOR_KINDS = ("ns", "rs", "rca", "sca")
+
+
+# JSON types of the detector meta keys; bool is never taken for a number
+_META_TYPES = {
+    "kind": str,
+    "p": (int, float),
+    "n_views": int,
+    "seed": int,
+    "sca_mode": str,
+    "vote_threshold": (int, float),
+    "soft_scores": bool,
+}
 
 
 @dataclass(frozen=True)
@@ -71,16 +83,30 @@ class DetectorSpec:
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorSpec":
-        kind = meta["kind"]
-        ab = None
-        if kind != "ns":
-            ab = AblationConfig(
-                scheme=kind,
-                p=meta["p"],
-                n_views=meta["n_views"],
-                seed=meta.get("seed", 0),
-                sca_mode=meta.get("sca_mode", "even"),
-            )
+        """The spec a checkpoint's detector block describes.  A block that
+        is not an object, lacks a key or holds a value of the wrong JSON
+        type raises DataError; a value out of range raises ConfigInvalid."""
+        if not isinstance(meta, dict):
+            raise DataError(f"detector meta must be a JSON object, got {type(meta).__name__}")
+        for key, kinds in _META_TYPES.items():
+            if key not in meta:
+                continue
+            value = meta[key]
+            if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+                raise DataError(f"detector meta {key!r} has the wrong type: {value!r}")
+        try:
+            kind = meta["kind"]
+            ab = None
+            if kind != "ns":
+                ab = AblationConfig(
+                    scheme=kind,
+                    p=meta["p"],
+                    n_views=meta["n_views"],
+                    seed=meta.get("seed", 0),
+                    sca_mode=meta.get("sca_mode", "even"),
+                )
+        except KeyError as exc:
+            raise DataError(f"detector meta is missing {exc.args[0]!r}") from exc
         return DetectorSpec(
             kind=kind,
             ablation=ab,
@@ -193,10 +219,13 @@ def predict_smoothed(
 
 
 def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> str:
-    """Just the label, through whichever path the spec calls for."""
+    """Just the label, through whichever path the spec calls for.  The
+    smoothed path is predict_smoothed without its per-chunk records."""
     if spec.kind == "ns":
         return predict_plain(params, data).label
-    return predict_smoothed(params, spec, data).label
+    views = smoothed_views(spec, data)
+    scores = neural.forward_scores(params, [v.tokens for v in views])
+    return tally_votes(scores, spec.vote_threshold)[2]
 
 
 # -- certification -----------------------------------------------------------------

@@ -95,6 +95,54 @@ def fd_gradient_check(params, tokens, label, h=1e-4, rel_tol=1e-4, floor=1e-8):
     return checked, worst
 
 
+# -- replaced fast paths ------------------------------------------------------------
+#
+# The forms the package used before its current kernels.  Each replacement
+# is bitwise equal to these, so tests compare with assert_array_equal.
+
+
+def masked_sigmoid(x):
+    """Logistic through two boolean masks: 1/(1+exp(-x)) where x >= 0 and
+    exp(x)/(1+exp(x)) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def dense_backward(params, cache, label):
+    """Gradients of the BCE loss through a dense (t, e) input gradient,
+    accumulated with np.add.at over the pooled positions and then
+    scattered into the embedding table over every token of the input."""
+    pr = params.profile
+    dt = params.dtype
+    f, e, w = params.wa.shape
+    d_logit = dt.type(cache.score - label)
+    d_h = d_logit * params.fc_w
+    d_a = d_h * cache.gate_star
+    d_b = d_h * cache.a_star * cache.gate_star * (1 - cache.gate_star)
+
+    win = np.lib.stride_tricks.sliding_window_view(cache.x, w, axis=0)
+    slices = win[cache.best_j * pr.stride]
+    contrib = (d_a[:, None, None] * params.wa + d_b[:, None, None] * params.wb).transpose(0, 2, 1)
+    pos = cache.best_j[:, None] * pr.stride + np.arange(w)[None, :]
+    d_x = np.zeros_like(cache.x)
+    np.add.at(d_x, pos.reshape(-1), contrib.reshape(f * w, e))
+    d_emb = np.zeros_like(params.emb)
+    np.add.at(d_emb, cache.tokens, d_x)
+    return {
+        "emb": d_emb,
+        "wa": d_a[:, None, None] * slices,
+        "ba": d_a.copy(),
+        "wb": d_b[:, None, None] * slices,
+        "bb": d_b.copy(),
+        "fc_w": d_logit * cache.h,
+        "fc_b": np.array([d_logit], dtype=dt),
+    }
+
+
 # -- voting -------------------------------------------------------------------------
 
 

@@ -115,6 +115,27 @@ def test_ga_is_deterministic():
     np.testing.assert_array_equal(r1.best_genome, r2.best_genome)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PaddingConfig(n_pad=-5),
+        lambda: ShiftConfig(extension=0),
+        lambda: ShiftConfig(extension=-4096),
+        lambda: GammaConfig(n_sections=0),
+        lambda: GammaConfig(size_cap=0.99),
+        lambda: GammaConfig(size_cap=float("nan")),
+        lambda: CavesConfig(min_cave_len=0),
+        lambda: CavesConfig(max_units_per_cave=-1),
+        lambda: CavesConfig(size_cap=0.5),
+    ],
+    ids=["n_pad", "extension-0", "extension-neg", "n_sections", "gamma-size_cap", "gamma-size_cap-nan",
+         "min_cave_len", "max_units_per_cave", "caves-size_cap"],
+)
+def test_attack_configs_range_check_their_knobs(make):
+    with pytest.raises(ConfigInvalid):
+        make()
+
+
 def test_ga_config_validation():
     with pytest.raises(ConfigInvalid):
         GaConfig(population=1)

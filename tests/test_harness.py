@@ -4,6 +4,7 @@ aggregation, and the end-to-end command pipeline with its exit codes."""
 import csv
 import hashlib
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -71,8 +72,23 @@ def test_eval_report_round_trip():
 def test_eval_report_missing_field():
     d = _report().to_dict()
     del d["tn"]
-    with pytest.raises(ConfigInvalid, match="tn"):
+    with pytest.raises(DataError, match="tn"):
         EvalReport.from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        ([1, 2], "JSON object"),
+        ({**_report().to_dict(), "accuracy": "high"}, "accuracy"),
+        ({**_report().to_dict(), "n": 10.0}, "'n'"),
+        ({**_report().to_dict(), "tp": True}, "tp"),
+        ({**_report().to_dict(), "detector": None}, "detector"),
+    ],
+)
+def test_eval_report_rejects_wrong_types(payload, match):
+    with pytest.raises(DataError, match=match):
+        EvalReport.from_dict(payload)
 
 
 # -- robustness aggregation --------------------------------------------------------
@@ -557,7 +573,19 @@ def test_cli_attack_and_report(cli_env, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "attack, knob", [("padding", "n_pad=abc"), ("padding", "n_padd=5"), ("shift", "extension=4096.5")]
+    "attack, knob",
+    [
+        ("padding", "n_pad=abc"),
+        ("padding", "n_padd=5"),
+        ("shift", "extension=4096.5"),
+        ("padding", "n_pad=-5"),
+        ("shift", "extension=0"),
+        ("gamma", "n_sections=0"),
+        ("gamma", "size_cap=0.5"),
+        ("caves", "min_cave_len=0"),
+        ("caves", "max_units_per_cave=-1"),
+        ("caves", "size_cap=0"),
+    ],
 )
 def test_cli_attack_rejects_bad_knobs(cli_env, tmp_path, capsys, attack, knob):
     adv_dir = tmp_path / "adv"
@@ -592,6 +620,49 @@ def test_cli_report_rejects_bad_records(tmp_path, capsys, content, where):
     path.write_bytes(content)
     assert cli.main(["report", str(path)]) == 3
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (None, "cannot read evaluation report"),
+        (b'{"detector": ', "not a UTF-8 JSON"),
+        (b'"\xff\xfe"', "not a UTF-8 JSON"),
+        (b"[1]", "JSON object"),
+        (json.dumps({k: v for k, v in _report().to_dict().items() if k != "accuracy"}).encode(), "accuracy"),
+    ],
+    ids=["missing", "bad-json", "not-utf8", "not-an-object", "no-accuracy"],
+)
+def test_cli_report_rejects_bad_clean_report(tmp_path, capsys, content, where):
+    records = tmp_path / "r.jsonl"
+    harness.write_jsonl(_campaign_records("padding", "sca", {}, 0, 1, 0), records)
+    clean = tmp_path / "eval.json"
+    if content is not None:
+        clean.write_bytes(content)
+    assert cli.main(["report", str(records), "--clean", str(clean)]) == 3
+    assert where in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_checkpoint_meta(cli_env, tmp_path, capsys):
+    raw = cli_env["model"].read_bytes()
+    end = 10 + struct.unpack_from("<I", raw, 6)[0]
+    manifest = read_manifest(cli_env["corpus"] / "manifest.csv")
+    target = str(manifest.root / manifest.entries[0].path)
+    broken = tmp_path / "broken.bin"
+
+    def classify_exit(blob: bytes) -> int:
+        broken.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[end:])
+        return cli.main(["classify", "--model", str(broken), target])
+
+    assert classify_exit(b"\xff" + raw[11:end]) == 3
+    meta = json.loads(raw[10:end])
+    del meta["detector"]["n_views"]
+    assert classify_exit(json.dumps(meta).encode()) == 3
+    meta["model"]["stride"] = meta["model"]["window"] + 1
+    assert classify_exit(json.dumps(meta).encode()) == 3
+    err = capsys.readouterr().err
+    assert "UTF-8 JSON" in err and "n_views" in err and "exceeds window" in err
+    assert capsys.readouterr().out == ""
 
 
 def test_report_inputs_raise_data_errors(tmp_path):

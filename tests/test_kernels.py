@@ -91,13 +91,22 @@ def _conv_backward_loops(x, wa, wb, best_j, d_a, d_b, stride):
     return d_wa, d_wb, d_x
 
 
+def _dense_rows(rows, d_rows, t):
+    """The pooled rows scattered into a dense (t, e) input gradient."""
+    assert np.array_equal(rows, np.unique(rows))  # sorted, each row once
+    d_x = np.zeros((t, d_rows.shape[1]), dtype=d_rows.dtype)
+    d_x[rows] = d_rows
+    return d_x
+
+
 def test_conv_backward_matches_loop_reference():
     rng = np.random.default_rng(3)
     x, wa, ba, wb, bb = _random_case(rng)
     best_j = rng.integers(0, 9, size=3)
     d_a = rng.normal(size=3)
     d_b = rng.normal(size=3)
-    d_wa, d_ba, d_wb, d_bb, d_x = kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, 4)
+    d_wa, d_ba, d_wb, d_bb, rows, d_rows = kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, 4)
+    d_x = _dense_rows(rows, d_rows, x.shape[0])
     r_wa, r_wb, r_x = _conv_backward_loops(x, wa, wb, best_j, d_a, d_b, 4)
     np.testing.assert_allclose(d_wa, r_wa, rtol=1e-12)
     np.testing.assert_allclose(d_wb, r_wb, rtol=1e-12)
@@ -114,7 +123,9 @@ def test_conv_backward_overlapping_best_windows_accumulate():
     best_j = np.array([3, 3])
     d_a = np.array([1.0, 2.0])
     d_b = np.array([0.5, -1.0])
-    *_, d_x = kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, 4)
+    *_, rows, d_rows = kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, 4)
+    assert rows.tolist() == list(range(12, 20))  # window 8 at position 3 * stride 4
+    d_x = _dense_rows(rows, d_rows, x.shape[0])
     _, _, r_x = _conv_backward_loops(x, wa, wb, best_j, d_a, d_b, 4)
     np.testing.assert_allclose(d_x, r_x, rtol=1e-12)
 

@@ -1,15 +1,21 @@
 """Model correctness: forward reference, gradients, optimizer, checkpoints."""
 
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from _oracles import fd_gradient_check, reference_forward
+from _oracles import dense_backward, fd_gradient_check, masked_sigmoid, reference_forward
 from chunksmooth import neural
 from chunksmooth.ablation import ABLATE_TOKEN
 from chunksmooth.errors import (
     BadMagic,
+    ChunkSmoothError,
+    DataError,
     IoFailure,
     NonFiniteLoss,
     ShapeMismatch,
@@ -29,6 +35,7 @@ from chunksmooth.neural import (
     save_checkpoint,
     train_step,
 )
+from chunksmooth.smoothing import DetectorSpec
 
 DESK = neural.PROFILES["desk"]
 
@@ -188,6 +195,49 @@ def test_gradients_match_finite_differences():
         assert worst < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_masked_form_bitwise(dtype):
+    rng = np.random.default_rng(21)
+    special = [0.0, -0.0, 100.0, -100.0, 1e-30, -1e-30, np.inf, -np.inf]
+    x = np.concatenate([rng.normal(0, 20, 20000), rng.normal(0, 1e-3, 1000), special]).astype(dtype)
+    got = neural._sigmoid(x)
+    assert got.dtype == dtype
+    assert got.tobytes() == masked_sigmoid(x).tobytes()
+    stack = rng.normal(0, 5, (3, 7, 9)).astype(dtype)  # the gates of a view stack
+    assert neural._sigmoid(stack).tobytes() == masked_sigmoid(stack).tobytes()
+    # NaN stays NaN; in float64 its sign bit may differ from the masked form's
+    assert np.isnan(neural._sigmoid(np.array([np.nan], dtype=dtype))).all()
+
+
+def test_backward_matches_dense_backward_bitwise():
+    """The pooled-row backward gives every gradient of a dense input
+    gradient scattered over every token, bit for bit."""
+    original = neural.PROFILES["original"]
+    overlapping = ModelProfile(emb_dim=4, n_filters=6, window=8, stride=3)
+    cases = [  # inputs shorter than, equal to and longer than the window
+        (DESK, 10, 256), (DESK, 64, 256), (DESK, 3000, 256), (DESK, 3000, 8),
+        (original, 100, 256), (original, 500, 256), (original, 4000, 16),
+        (overlapping, 5, 256), (overlapping, 8, 256), (overlapping, 60, 4),
+    ]
+    rng = np.random.default_rng(22)
+    shared = overlap = 0
+    for dtype in (np.float32, np.float64):
+        for i, (profile, n, hi) in enumerate(cases):
+            params = init_params(profile, seed=200 + i, dtype=dtype)
+            cache = forward(params, _tokens(rng, n, hi=hi))
+            starts = np.unique(cache.best_j) * profile.stride
+            shared += starts.size < cache.best_j.size
+            overlap += bool(np.any(np.diff(starts) < profile.window))
+            for label in (0, 1):
+                got = neural.backward(params, cache, label)
+                want = dense_backward(params, cache, label)
+                for name in neural.TENSOR_FIELDS:
+                    assert got[name].dtype == want[name].dtype, name
+                    assert got[name].shape == want[name].shape, name
+                    assert got[name].tobytes() == want[name].tobytes(), (profile, n, dtype, label, name)
+    assert shared and overlap  # filters pooled at the same and at overlapping windows
+
+
 def test_closed_gate_kills_filter_gradients():
     params = init_params(DESK, seed=10, dtype=np.float64)
     params.bb[3] = -50.0  # gate sigmoid(-50) ~ 2e-22: filter 3 is dead
@@ -329,6 +379,73 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(bytes(over))
     with pytest.raises(TruncatedFile):
         load_checkpoint(path)
+
+
+def _with_meta_block(path, blob: bytes) -> Path:
+    """A desk-profile checkpoint whose JSON block is replaced by blob."""
+    params = init_params(DESK, seed=23)
+    body = b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes() for t in params.tensors())
+    path.write_bytes(neural.CHECKPOINT_MAGIC + struct.pack("<HI", neural.CHECKPOINT_VERSION, len(blob)) + blob + body)
+    return path
+
+
+_DESK_MODEL = {"emb_dim": 8, "n_filters": 32, "window": 64, "stride": 64}
+
+
+@pytest.mark.parametrize(
+    "blob, match",
+    [
+        (b"\xff\xfe{}", "UTF-8 JSON"),
+        (b'{"model": ', "UTF-8 JSON"),
+        (b"[1, 2]", "no model object"),
+        (b'{"detector": null}', "no model object"),
+        (b'{"model": 5}', "no model object"),
+        (json.dumps({"model": {k: v for k, v in _DESK_MODEL.items() if k != "window"}}).encode(), "window"),
+        (json.dumps({"model": {**_DESK_MODEL, "emb_dim": 0}}).encode(), "emb_dim"),
+        (json.dumps({"model": {**_DESK_MODEL, "n_filters": 32.0}}).encode(), "n_filters"),
+        (json.dumps({"model": {**_DESK_MODEL, "stride": True}}).encode(), "stride"),
+        (json.dumps({"model": {**_DESK_MODEL, "stride": 65}}).encode(), "exceeds window"),
+    ],
+    ids=["not-utf8", "bad-json", "not-an-object", "no-model", "model-not-object", "no-window",
+         "zero-dim", "float-dim", "bool-dim", "stride-over-window"],
+)
+def test_checkpoint_rejects_bad_meta_block(tmp_path, blob, match):
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(_with_meta_block(tmp_path / "m.bin", blob))
+
+
+def test_checkpoint_meta_block_sanity(tmp_path):
+    path = _with_meta_block(tmp_path / "m.bin", json.dumps({"model": _DESK_MODEL}).encode())
+    params, meta = load_checkpoint(path)
+    assert params.profile == DESK and meta["model"] == _DESK_MODEL
+
+
+_SCA_BIN = (Path(__file__).resolve().parents[1] / "perfbench" / "models" / "sca.bin").read_bytes()
+_SCA_HEAD = 10 + struct.unpack_from("<I", _SCA_BIN, 6)[0]  # header plus JSON block
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(
+        st.tuples(st.integers(0, _SCA_HEAD + 63), st.integers(0, 255)), min_size=1, max_size=4
+    ),
+    cut=st.one_of(st.none(), st.integers(0, len(_SCA_BIN))),
+)
+def test_checkpoint_fuzz_loads_or_raises_typed_errors(tmp_path, edits, cut):
+    """Byte-mutated (and optionally truncated) copies of a trained checkpoint
+    load to a model and detector spec, or fail with a ChunkSmoothError."""
+    raw = bytearray(_SCA_BIN)
+    for pos, byte in edits:
+        raw[pos] = byte
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        params, meta = load_checkpoint(path)
+        if meta.get("detector"):
+            DetectorSpec.from_meta(meta["detector"])
+    except ChunkSmoothError:
+        return
+    assert params.profile.stride <= params.profile.window
 
 
 def test_checkpoint_missing_file(tmp_path):

@@ -7,7 +7,7 @@ from _oracles import exhaustive_flip_invariant, tally_oracle
 from chunksmooth import neural, smoothing
 from chunksmooth.ablation import AblationConfig, ChunkWindow, windows_touching
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
-from chunksmooth.errors import ConfigInvalid, NotLengthPreserving, NotSca
+from chunksmooth.errors import ConfigInvalid, DataError, NotLengthPreserving, NotSca
 from chunksmooth.smoothing import (
     DetectorSpec,
     TrainConfig,
@@ -398,8 +398,48 @@ def test_detector_spec_meta_round_trip():
         assert DetectorSpec.from_meta(spec.meta()) == spec
 
 
-def test_predict_dispatches_on_kind(desk_model):
+def test_predict_dispatches_on_kind(desk_model, small_splits):
     params, spec, _ = desk_model
     data = bytes(np.random.default_rng(8).integers(0, 256, size=2048, dtype=np.uint8))
     assert predict(params, spec, data) == predict_smoothed(params, spec, data).label
     assert predict(params, DetectorSpec(kind="ns"), data) == predict_plain(params, data).label
+    # the label-only path agrees with predict_smoothed on every scheme, for
+    # the validation files and for inputs shorter than the window
+    specs = [spec] + [
+        DetectorSpec(kind=k, ablation=AblationConfig(scheme=k, p=p, n_views=n))
+        for k, p, n in (("rca", 0.05, 50), ("rs", 0.2, 9))
+    ]
+    _, val_m, _ = small_splits
+    files = [load_capped(val_m.resolve(e)) for e in val_m.entries] + [b"\x00", bytes(range(40))]
+    for sp in specs:
+        for data in files:
+            assert predict(params, sp, data) == predict_smoothed(params, sp, data).label
+
+
+def test_label_only_predict_matches_vote_tally(monkeypatch):
+    rng = np.random.default_rng(24)
+    spec = _sca_spec(n_views=20)
+    data = bytes(rng.integers(0, 256, size=400, dtype=np.uint8))
+    for scores in [rng.random(20) for _ in range(200)] + [[0.9] * 10 + [0.1] * 10, [0.5] * 20]:
+        _stub_scores(monkeypatch, scores)
+        assert predict(None, spec, data) == tally_oracle(scores, spec.vote_threshold)[2]
+
+
+@pytest.mark.parametrize(
+    "meta, error",
+    [
+        ([], DataError),
+        ({"p": 0.05, "n_views": 100}, DataError),
+        ({"kind": "sca", "n_views": 100}, DataError),
+        ({"kind": "sca", "p": 0.05}, DataError),
+        ({"kind": "sca", "p": "0.05", "n_views": 100}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": True}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "vote_threshold": None}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "soft_scores": 1}, DataError),
+        ({"kind": "sca", "p": 0.0, "n_views": 100}, ConfigInvalid),
+        ({"kind": "lstm", "p": 0.05, "n_views": 100}, ConfigInvalid),
+    ],
+)
+def test_detector_spec_from_meta_rejects_bad_blocks(meta, error):
+    with pytest.raises(error):
+        DetectorSpec.from_meta(meta)
