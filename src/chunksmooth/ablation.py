@@ -14,11 +14,15 @@ Three schemes:
 Training uses a single uniformly placed chunk per sample for both chunk
 schemes; they differ only at inference.
 
-``sca_mode="verbatim"`` reproduces the published pseudocode for the
-evenly-spaced sampler instead.  Those formulas are internally
-inconsistent (stride collapses to 0 at L=20 and windows run past the
-file at L=100, contradicting the scheme's own overlap figures), so the
-mode exists purely for auditability; windows are clamped to the file.
+Every scheme yields L views of one length: g = ceil(l*p) bytes for the
+chunk schemes, l for rs.  The model right-pads an input shorter than its
+conv window to that window, so a view stack is always rectangular.
+
+The placement in the published pseudocode for the evenly spaced sampler
+is not offered.  Its formulas are internally inconsistent: the stride
+collapses to 0 at L=20 (every view is the same chunk) and the windows
+run past the end of the file at L=100, contradicting the scheme's own
+overlap figures.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ ABLATE_TOKEN = 256  # reserved embedding index for masked/padding positions
 VOCAB_SIZE = 257
 
 _SCHEMES = ("rca", "sca", "rs")
+
+MAX_VIEWS = 10_000  # 100x the paper's largest L; bounds a checkpoint's view stack
 
 
 @dataclass(frozen=True)
@@ -52,17 +58,14 @@ class AblationConfig:
     p: float = 0.05
     n_views: int = 100
     seed: int = 0
-    sca_mode: str = "even"
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise ConfigInvalid(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.p <= 1.0):
             raise ConfigInvalid(f"p must be in (0, 1], got {self.p}")
-        if self.n_views < 1:
-            raise ConfigInvalid(f"n_views must be >= 1, got {self.n_views}")
-        if self.sca_mode not in ("even", "verbatim"):
-            raise ConfigInvalid(f"sca_mode must be 'even' or 'verbatim', got {self.sca_mode!r}")
+        if not (1 <= self.n_views <= MAX_VIEWS):
+            raise ConfigInvalid(f"n_views must be in [1, {MAX_VIEWS}], got {self.n_views}")
 
 
 @dataclass(frozen=True)
@@ -105,30 +108,11 @@ def rca_windows(file_len: int, cfg: AblationConfig, rng: np.random.Generator) ->
 
 
 def sca_windows(file_len: int, cfg: AblationConfig) -> list[ChunkWindow]:
-    if cfg.sca_mode == "verbatim":
-        return _sca_windows_verbatim(file_len, cfg)
     g = chunk_length(file_len, cfg.p)
     L = cfg.n_views
     if L == 1:
         return [ChunkWindow(0, g)]
     return [ChunkWindow(i * (file_len - g) // (L - 1), i * (file_len - g) // (L - 1) + g) for i in range(L)]
-
-
-def _sca_windows_verbatim(file_len: int, cfg: AblationConfig) -> list[ChunkWindow]:
-    g = chunk_length(file_len, cfg.p)
-    L = cfg.n_views
-    overlap_size = file_len // L
-    diff = g - overlap_size
-    a = math.ceil(diff / L)
-    b = math.ceil(round(diff * cfg.p, 9))
-    stride = diff - (b - a)
-    windows = []
-    for i in range(L):
-        start = i * stride
-        end = min(start + g, file_len)
-        start = min(max(start, 0), file_len - 1)
-        windows.append(ChunkWindow(start, max(end, start + 1)))
-    return windows
 
 
 def rs_tokens(data: bytes, cfg: AblationConfig, rng: np.random.Generator) -> np.ndarray:

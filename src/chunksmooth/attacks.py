@@ -63,7 +63,7 @@ class ViewScores:
 
     A view's score depends only on its own tokens, so the result is
     bitwise that of neural.forward_scores on the whole stack.  Holds one
-    call of state; views of unequal length are scored afresh.
+    call of state.
     """
 
     def __init__(self, params):
@@ -72,9 +72,6 @@ class ViewScores:
         self._scores = None
 
     def __call__(self, token_arrays) -> np.ndarray:
-        if len({t.size for t in token_arrays}) != 1:
-            self._stack = None
-            return neural.forward_scores(self.params, token_arrays)
         stack = np.stack(token_arrays)
         prev, scores = self._stack, self._scores
         if prev is None or prev.shape != stack.shape:

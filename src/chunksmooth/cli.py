@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, harness, neural, smoothing
-from .ablation import AblationConfig
+from .ablation import MAX_VIEWS, AblationConfig
 from .attacks import GaConfig
 from .corpus import SynthConfig, load_capped, read_manifest, temporal_split
 from .errors import ConfigError, ConfigInvalid, DataError, IoFailure, NumericError
@@ -251,7 +251,7 @@ def build_parser() -> tuple[
     p.add_argument("--out", required=True)
     p.add_argument("--detector", choices=list(smoothing.DETECTOR_KINDS), default="sca")
     p.add_argument("--p", type=float, help="chunk fraction (ablation detectors)")
-    p.add_argument("--n-views", type=int, help="votes per file (ablation detectors)")
+    p.add_argument("--n-views", type=int, help=f"votes per file, 1 to {MAX_VIEWS} (ablation detectors)")
     p.add_argument("--profile", choices=sorted(neural.PROFILES), default=TrainConfig.profile)
     p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
@@ -311,7 +311,7 @@ def _apply_config_file(
     overrides = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()

@@ -92,7 +92,7 @@ def _check_entries(entries: tuple[ManifestEntry, ...]) -> None:
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
     _check_entries(manifest.entries)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MANIFEST_HEADER)
         for e in manifest.entries:
@@ -102,10 +102,12 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoFailure(f"cannot read manifest {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"manifest {path} is not a UTF-8 CSV file: {exc}") from exc
     if not rows or rows[0] != _MANIFEST_HEADER:
         raise DataError(f"manifest {path}: missing or wrong header line")
     entries = []

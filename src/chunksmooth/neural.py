@@ -176,15 +176,13 @@ def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
 
 
 def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.ndarray:
-    """Scores for many views.  Equal-length views (the usual smoothed
-    prediction case) are folded into one batched conv call; token_arrays
-    may also be a 2-D stack of them."""
+    """Scores for many views of one length, in one batched conv call.
+
+    Every ablation scheme yields views of one length (see ablation.py);
+    views shorter than the conv window are right-padded to it.
+    token_arrays may also be a 2-D stack of views."""
     pr = params.profile
-    padded = [_pad_tokens(t, pr.window) for t in token_arrays]
-    lengths = {p.size for p in padded}
-    if len(lengths) != 1:
-        return np.array([forward(params, t).score for t in padded], dtype=np.float64)
-    xs = params.emb[np.stack(padded)]
+    xs = params.emb[np.stack([_pad_tokens(t, pr.window) for t in token_arrays])]
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
     gated = a * _sigmoid(b)
     h = gated.max(axis=1)  # (n, f)

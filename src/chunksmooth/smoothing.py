@@ -77,7 +77,7 @@ class DetectorSpec:
                 p=self.ablation.p,
                 n_views=self.ablation.n_views,
                 seed=self.ablation.seed,
-                sca_mode=self.ablation.sca_mode,
+                sca_mode="even",  # the one sca placement; kept so checkpoints stay byte-identical
             )
         return d
 
@@ -94,6 +94,8 @@ class DetectorSpec:
             value = meta[key]
             if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
                 raise DataError(f"detector meta {key!r} has the wrong type: {value!r}")
+        if meta.get("sca_mode", "even") != "even":
+            raise DataError(f"detector meta 'sca_mode' must be 'even', got {meta['sca_mode']!r}")
         try:
             kind = meta["kind"]
             ab = None
@@ -103,7 +105,6 @@ class DetectorSpec:
                     p=meta["p"],
                     n_views=meta["n_views"],
                     seed=meta.get("seed", 0),
-                    sca_mode=meta.get("sca_mode", "even"),
                 )
         except KeyError as exc:
             raise DataError(f"detector meta is missing {exc.args[0]!r}") from exc
@@ -254,8 +255,6 @@ def certify_inplace(
     """
     if spec.kind != "sca" or pred.kind != "sca":
         raise NotSca(f"certification is defined for sca only, got {pred.kind!r}")
-    if spec.ablation.sca_mode != "even":
-        raise NotSca("certification assumes evenly spaced windows, not verbatim mode")
     a, b = edit_region
     if not (0 <= a <= b <= pred.file_len):
         raise NotLengthPreserving(f"edit region {edit_region} not inside [0, {pred.file_len}]")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _oracles import naive_touch_count
 from chunksmooth.ablation import (
     ABLATE_TOKEN,
+    MAX_VIEWS,
     AblationConfig,
     ChunkWindow,
     chunk_length,
@@ -65,7 +66,8 @@ def test_ablation_config_validation():
     with pytest.raises(ConfigInvalid):
         AblationConfig(scheme="sca", n_views=0)
     with pytest.raises(ConfigInvalid):
-        AblationConfig(scheme="sca", sca_mode="spiral")
+        AblationConfig(scheme="sca", n_views=MAX_VIEWS + 1)
+    assert AblationConfig(scheme="sca", n_views=MAX_VIEWS).n_views == MAX_VIEWS
 
 
 # -- training window ----------------------------------------------------------
@@ -141,20 +143,6 @@ def test_sca_is_deterministic_and_ignores_rng():
 def test_sca_single_view():
     ws = sca_windows(1000, _sca_cfg(n_views=1))
     assert ws == [ChunkWindow(0, 50)]
-
-
-def test_sca_verbatim_mode_geometry():
-    # The historical placement rule. At L=20 the computed stride collapses
-    # to zero (all views identical); at L=100 it walks off the end and the
-    # tail windows clamp down to one byte. Documented behavior, and the
-    # reason "even" is the default.
-    ws = sca_windows(1000, _sca_cfg(n_views=20, sca_mode="verbatim"))
-    assert {(w.start, w.end) for w in ws} == {(0, 50)}
-    ws = sca_windows(1000, _sca_cfg(n_views=100, sca_mode="verbatim"))
-    for i, w in enumerate(ws):
-        assert w.start == min(i * 39, 999)
-        assert w.end == min(w.start + 50, 1000)
-        assert 1 <= w.length <= 50 and w.end <= 1000
 
 
 # -- masking ------------------------------------------------------------------------
@@ -269,19 +257,27 @@ def test_windows_touching_matches_naive_oracle():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    l=st.integers(min_value=1, max_value=10**6),
     p=st.sampled_from([0.01, 0.02, 0.05, 1.0]),
     n_views=st.sampled_from([1, 3, 20, 100]),
-    scheme=st.sampled_from(["rca", "sca"]),
+    scheme=st.sampled_from(["rca", "sca", "rs"]),
+    data=st.data(),
 )
-def test_windows_always_legal(l, p, n_views, scheme):
+def test_windows_always_legal(p, n_views, scheme, data):
+    # small files (some below the desk window of 64) and large ones; rs
+    # draws one number per byte per view, so its files stay small
+    l = data.draw(
+        st.one_of(st.integers(1, 200), st.integers(1, 4096 if scheme == "rs" else 10**6)), label="l"
+    )
     cfg = AblationConfig(scheme=scheme, p=p, n_views=n_views)
+    views = make_views(bytes(l), cfg, np.random.default_rng(123))
+    assert len(views) == n_views
+    # one length for every view: a view stack is always rectangular
+    assert len({v.tokens.size for v in views}) == 1
+    if scheme == "rs":
+        assert views[0].tokens.size == l
+        return
     g = chunk_length(l, p)
-    if scheme == "sca":
-        ws = sca_windows(l, cfg)
-    else:
-        ws = rca_windows(l, cfg, np.random.default_rng(123))
-    assert len(ws) == n_views
+    ws = [v.window for v in views]
     for w in ws:
         assert 0 <= w.start < w.end <= l
         assert w.length == g

@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chunksmooth import corpus, pe
 from chunksmooth.corpus import (
@@ -17,6 +19,7 @@ from chunksmooth.corpus import (
     write_manifest,
 )
 from chunksmooth.errors import (
+    ChunkSmoothError,
     ConfigInvalid,
     DataError,
     EmptyCorpus,
@@ -177,6 +180,33 @@ def test_read_manifest_rejects_bad_rows(tmp_path):
 
     with pytest.raises(IoFailure):
         read_manifest(tmp_path / "missing.csv")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=4),
+    prefix=st.sampled_from([b"", b"\xff\xfe", b"\xef\xbb\xbf"]),
+    cut=st.one_of(st.none(), st.integers(0, 1 << 10)),
+)
+def test_manifest_fuzz_reads_or_raises_typed_errors(tmp_path, edits, prefix, cut):
+    """Byte-mutated (optionally prefixed and truncated) copies of a written
+    manifest read back as a valid manifest, or fail with a ChunkSmoothError."""
+    path = tmp_path / "manifest.csv"
+    labels = ("benign", "malicious")
+    write_manifest(CorpusManifest(entries=tuple(_entry(i, labels[i % 2], 100 + i) for i in range(4))), path)
+    raw = bytearray(path.read_bytes())
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    path.write_bytes(prefix + bytes(raw[:cut]))
+    try:
+        manifest = read_manifest(path)
+    except ChunkSmoothError:
+        return
+    assert isinstance(manifest, CorpusManifest) and manifest.root == tmp_path
+    assert len({e.sha256 for e in manifest.entries}) == len(manifest.entries)
+    for e in manifest.entries:
+        assert e.label in labels and isinstance(e.timestamp, int)
+        assert len(e.sha256) == 64 and set(e.sha256) <= set("0123456789abcdef")
 
 
 # -- temporal split ---------------------------------------------------------------

@@ -6,13 +6,14 @@ import hashlib
 import json
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import metrics_oracle
 from chunksmooth import attacks, cli, harness, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig
+from chunksmooth.ablation import MAX_VIEWS, AblationConfig
 from chunksmooth.attacks import GaConfig
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, read_manifest
 from chunksmooth.errors import ConfigInvalid, DataError, EmptyCorpus, IoFailure
@@ -665,6 +666,38 @@ def test_cli_rejects_bad_checkpoint_meta(cli_env, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+_SCA_BIN = (Path(__file__).resolve().parents[1] / "perfbench" / "models" / "sca.bin").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["sca", "rca", "rs"])
+def test_checkpoint_sca_mode_key_is_pinned(kind, tmp_path, capsys):
+    """Checkpoints keep writing the constant "sca_mode": "even"; a block
+    naming any other placement is refused, by the library and by the CLI."""
+    end = 10 + struct.unpack_from("<I", _SCA_BIN, 6)[0]
+    meta = json.loads(_SCA_BIN[10:end])
+    block = dict(meta["detector"], kind=kind)
+    assert block["sca_mode"] == "even"
+    assert smoothing.DetectorSpec.from_meta(block).meta() == block
+    verbatim = dict(block, sca_mode="verbatim")
+    with pytest.raises(DataError, match="sca_mode"):
+        smoothing.DetectorSpec.from_meta(verbatim)
+
+    model = tmp_path / "model.bin"
+    target = tmp_path / "target.bin"
+    target.write_bytes(bytes(range(256)) * 8)
+
+    def classify_exit(detector: dict) -> int:
+        blob = json.dumps(dict(meta, detector=detector), sort_keys=True).encode()
+        model.write_bytes(_SCA_BIN[:6] + struct.pack("<I", len(blob)) + blob + _SCA_BIN[end:])
+        return cli.main(["classify", "--model", str(model), str(target)])
+
+    assert classify_exit(block) == 0
+    capsys.readouterr()
+    assert classify_exit(verbatim) == 3
+    captured = capsys.readouterr()
+    assert "sca_mode" in captured.err and captured.out == ""
+
+
 def test_report_inputs_raise_data_errors(tmp_path):
     with pytest.raises(IoFailure):
         harness.read_jsonl(tmp_path / "missing.jsonl")
@@ -767,6 +800,12 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
     # 2: configuration problems
     assert cli.main(["gen-corpus", "--out", str(tmp_path / "x"), "--ratios", "0.5,0.5,0.5"]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.cfg"), "gen-corpus", "--out", "x"]) == 2
+    not_utf8 = tmp_path / "utf16.cfg"
+    not_utf8.write_bytes(b"\xff\xfe" + "n-files = 6\n".encode("utf-16-le"))
+    assert cli.main(["--config", str(not_utf8), "gen-corpus", "--out", str(tmp_path / "x")]) == 2
+    train = ["train", "--corpus", str(cli_env["corpus"]), "--out", str(tmp_path / "m.bin")]
+    assert cli.main([*train, "--n-views", str(MAX_VIEWS + 1)]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "m.bin").exists()
     assert (
         cli.main(
             [
@@ -799,6 +838,12 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
         )
         == 3
     )
+    utf16_corpus = tmp_path / "utf16-corpus"
+    utf16_corpus.mkdir()
+    manifest_text = (cli_env["corpus"] / "manifest.csv").read_text(encoding="utf-8")
+    (utf16_corpus / "manifest.csv").write_bytes(b"\xff\xfe" + manifest_text.encode("utf-16-le"))
+    evaluate = ["evaluate", "--model", str(cli_env["model"]), "--corpus", str(utf16_corpus)]
+    assert cli.main(evaluate) == 3
 
     # 4: numeric failures surfaced by the oracle
     params, _ = neural.load_checkpoint(str(cli_env["model"]))

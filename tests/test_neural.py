@@ -141,15 +141,6 @@ def test_forward_scores_rows_do_not_depend_on_the_batch(columns):
         np.testing.assert_array_equal(forward_scores(params, stack[rows]), full[rows])
 
 
-def test_forward_scores_mixed_lengths_fall_back_exactly():
-    rng = np.random.default_rng(8)
-    params = init_params(DESK, seed=8)
-    views = [_tokens(rng, 100), _tokens(rng, 300)]
-    got = forward_scores(params, views)
-    want = [forward(params, v).score for v in views]
-    assert got.tolist() == want
-
-
 # -- loss --------------------------------------------------------------------------
 
 

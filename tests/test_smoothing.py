@@ -210,12 +210,6 @@ def test_certify_rejects_wrong_scheme_and_region(monkeypatch):
         certify_inplace(rs_pred, (0, 1), rs_spec)
 
     pred, spec = _pred_with_votes(monkeypatch, [0.9] * 100)
-    verb = _sca_spec(n_views=100, p=0.05)
-    verb = DetectorSpec(
-        kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100, sca_mode="verbatim")
-    )
-    with pytest.raises(NotSca):
-        certify_inplace(pred, (0, 1), verb)
     with pytest.raises(NotLengthPreserving):
         certify_inplace(pred, (990, 1010), spec)
     with pytest.raises(NotLengthPreserving):
@@ -438,6 +432,8 @@ def test_label_only_predict_matches_vote_tally(monkeypatch):
         ({"kind": "sca", "p": 0.05, "n_views": 100, "soft_scores": 1}, DataError),
         ({"kind": "sca", "p": 0.0, "n_views": 100}, ConfigInvalid),
         ({"kind": "lstm", "p": 0.05, "n_views": 100}, ConfigInvalid),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "sca_mode": "evez"}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 10**12}, ConfigInvalid),
     ],
 )
 def test_detector_spec_from_meta_rejects_bad_blocks(meta, error):
