@@ -93,10 +93,9 @@ class ViewScores:
 
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label. For vote detectors the score is the
-    malicious vote share, or the mean view score when spec.soft_scores
-    is set (a finer-grained objective for section-injection attacks).
-    Vote detectors rescore only the views whose bytes changed since the
-    previous query (ViewScores), with the same results as predict_smoothed."""
+    malicious vote share.  Vote detectors rescore only the views whose
+    bytes changed since the previous query (ViewScores), with the same
+    results as predict_smoothed."""
 
     if spec.kind == "ns":
 
@@ -109,9 +108,8 @@ def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
 
         def fn(data: bytes):
             scores = view_scores([v.tokens for v in smoothing.smoothed_views(spec, data)])
-            _, probabilities, label = smoothing.tally_votes(scores, spec.vote_threshold)
-            score = float(np.mean(scores)) if spec.soft_scores else probabilities[LABEL_MALICIOUS]
-            return score, label
+            _, probabilities, label = smoothing.tally_votes(scores)
+            return probabilities[LABEL_MALICIOUS], label
 
     return DetectorOracle(fn)
 
@@ -125,8 +123,6 @@ class GaConfig:
     generations: int = 100
     p_solution_mut: float = 0.1
     p_gene_mut: float = 0.1
-    tournament_k: int = 2
-    elitism: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -136,8 +132,6 @@ class GaConfig:
             raise ConfigInvalid("generations must be >= 1")
         if not (0.0 <= self.p_solution_mut <= 1.0 and 0.0 <= self.p_gene_mut <= 1.0):
             raise ConfigInvalid("mutation probabilities must be in [0, 1]")
-        if self.elitism > self.population:
-            raise ConfigInvalid("elitism cannot exceed the population size")
 
 
 @dataclass
@@ -153,9 +147,9 @@ class GaResult:
 def ga_optimize(oracle, genome_len: int, build, cfg: GaConfig) -> GaResult:
     """Generational GA over uint8 genomes, minimizing oracle score.
 
-    Uniform random init, tournament selection, single-point crossover,
-    per-solution mutation (each gene flipped to a uniform byte with
-    probability p_gene_mut), elitism of one.  Every generation evaluates
+    Uniform random init, binary tournament selection, single-point
+    crossover, per-solution mutation (each gene flipped to a uniform byte
+    with probability p_gene_mut), elitism of one.  Every generation evaluates
     the whole population, so queries == population * generations_run.
     Stops after the first generation containing a benign-labeled
     individual, or at the generation cap.
@@ -187,10 +181,10 @@ def ga_optimize(oracle, genome_len: int, build, cfg: GaConfig) -> GaResult:
             break
         if gen == cfg.generations:
             break
-        nxt = [pop[gen_best].copy() for _ in range(cfg.elitism)]
+        nxt = [pop[gen_best].copy()]
         while len(nxt) < cfg.population:
-            p1 = _tournament(rng, scores, cfg.tournament_k)
-            p2 = _tournament(rng, scores, cfg.tournament_k)
+            p1 = _tournament(rng, scores)
+            p2 = _tournament(rng, scores)
             if genome_len >= 2:
                 cut = int(rng.integers(1, genome_len))
                 child = np.concatenate([pop[p1][:cut], pop[p2][cut:]])
@@ -212,8 +206,8 @@ def ga_optimize(oracle, genome_len: int, build, cfg: GaConfig) -> GaResult:
     )
 
 
-def _tournament(rng, scores, k: int) -> int:
-    contenders = rng.integers(0, len(scores), size=k)
+def _tournament(rng, scores) -> int:
+    contenders = rng.integers(0, len(scores), size=2)
     return int(min(contenders, key=lambda i: (scores[i], i)))
 
 
@@ -296,6 +290,17 @@ class ShiftConfig:
             raise ConfigInvalid(f"extension must be positive, got {self.extension}")
 
 
+def _file_alignment(layout: PeLayout) -> int:
+    """The target's FileAlignment, which shift, gamma and caves align
+    their inserts to; it sizes their genomes, so it is bounded first."""
+    alignment = layout.file_alignment
+    if not 0 < alignment <= pe.MAX_FILE_ALIGNMENT:
+        raise AlignmentUnsatisfiable(
+            f"file alignment {alignment:#x} is not in [1, {pe.MAX_FILE_ALIGNMENT:#x}]"
+        )
+    return alignment
+
+
 def _first_content_offset(layout: PeLayout) -> int:
     offsets = [s.raw_offset for s in layout.sections if s.raw_size > 0]
     return min(offsets) if offsets else layout.overlay_start
@@ -305,9 +310,7 @@ def attack_shift(data: bytes, oracle, cfg: ShiftConfig) -> AttackResult:
     """Insert an aligned, GA-controlled gap between headers and the first
     section's raw data, patching raw offsets and the header-size field."""
     layout = pe.parse_pe(data)
-    if layout.file_alignment <= 0:
-        raise AlignmentUnsatisfiable("file alignment is zero or missing")
-    ext = align_up(cfg.extension, layout.file_alignment)
+    ext = align_up(cfg.extension, _file_alignment(layout))
     insert_at = _first_content_offset(layout)
 
     patched = bytearray(data)
@@ -346,12 +349,10 @@ def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> At
     if not pool:
         raise ConfigInvalid("benign section pool is empty")
     layout = pe.parse_pe(data)
-    if layout.file_alignment <= 0:
-        raise AlignmentUnsatisfiable("file alignment is zero or missing")
+    alignment = _file_alignment(layout)
     if layout.num_sections + cfg.n_sections > 0xFFFF:
         raise SectionTableFull(f"{layout.num_sections} + {cfg.n_sections} sections exceed the format limit")
 
-    alignment = layout.file_alignment
     table_end = layout.pe_header_span[1]
     first_off = _first_content_offset(layout)
     need = cfg.n_sections * pe.SECTION_ENTRY_LEN
@@ -439,9 +440,7 @@ def attack_caves(data: bytes, oracle, cfg: CavesConfig) -> AttackResult:
     sections and patching the table.  With no caves at all the attack
     degenerates to opening one aligned gap between the first two sections."""
     layout = pe.parse_pe(data, cave_min_len=cfg.min_cave_len)
-    if layout.file_alignment <= 0:
-        raise AlignmentUnsatisfiable("file alignment is zero or missing")
-    unit = layout.file_alignment
+    unit = _file_alignment(layout)
     caves = layout.code_caves
 
     if caves:

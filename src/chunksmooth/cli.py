@@ -304,9 +304,12 @@ def _apply_config_file(
 
     Command-line flags still win: set_defaults only fills in what the
     user did not pass explicitly.  seed and threads become top-level
-    defaults, so that a global --seed/--threads beats them too."""
+    defaults, so that a global --seed/--threads beats them too.  A key
+    sets one value: options that take a list (file operands, --clean,
+    --param) and NUL bytes, which no command line can hold, are refused."""
     target = commands.get(command, parser)
-    actions = {a.dest: a for a in target._actions if a.dest != "help"}
+    # "command" is the subcommand itself, which a config file cannot choose
+    actions = {a.dest: a for a in target._actions if a.dest not in ("help", "command")}
 
     overrides = {}
     try:
@@ -317,13 +320,15 @@ def _apply_config_file(
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigInvalid(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if "=" not in line or "\0" in line:
+            raise ConfigInvalid(f"{path}:{lineno}: expected key=value without NUL bytes, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
         if dest not in actions:
             raise ConfigInvalid(f"{path}:{lineno}: unknown option {key!r} for {command or 'chunksmooth'}")
         action = actions[dest]
+        if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
+            raise ConfigInvalid(f"{path}:{lineno}: {key!r} takes a list, which a config file cannot set")
         try:
             overrides[dest] = action.type(value) if callable(action.type) else value
         except (TypeError, ValueError) as exc:

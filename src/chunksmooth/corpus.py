@@ -146,11 +146,11 @@ def temporal_split(
 
 # -- synthetic generator ----------------------------------------------------------
 
-# Fixed 16-byte markers for the malicious pool. Inert constants, drawn from
+# Fixed 16-byte markers of malicious files. Inert constants, drawn from
 # the same 0x20..0x3F alphabet as the tiling filler on purpose: telling them
 # apart from filler takes real pattern weights, not a byte-range check, which
 # keeps the training signal from saturating in the first epoch.
-DEFAULT_MALICIOUS_MOTIFS: tuple[bytes, ...] = (
+MALICIOUS_MOTIFS: tuple[bytes, ...] = (
     b"/:=94;?!*%2(&+.<",
     b"#8,1'>$-7<(60)\"3",
     b"<%/+9!=:(4?;2&.*",
@@ -169,14 +169,6 @@ class SynthConfig:
     n_files: int = 2000
     size_range: tuple[int, int] = (24576, 65536)
     malicious_ratio: float = 0.5
-    sections_range: tuple[int, int] = (2, 4)
-    malicious_motif_pool: tuple[bytes, ...] = DEFAULT_MALICIOUS_MOTIFS
-    # Optional markers planted in benign texture rows. Empty by default:
-    # benign-only byte strings would hand the detector evidence that no
-    # content edit can imitate, which makes robustness comparisons across
-    # detectors trivially favorable. Must stay disjoint from the
-    # malicious pool.
-    benign_motif_pool: tuple[bytes, ...] = ()
     # Per-file corruption rate for body texture, drawn uniformly from this
     # range: that share of texture bytes is replaced by full-range noise.
     # Samples differ in how heavily they are obfuscated, so the corpus
@@ -204,21 +196,12 @@ def _validate_synth(cfg: SynthConfig) -> None:
         raise ConfigInvalid(f"size_range exceeds the {SIZE_CAP}-byte cap")
     if not (0.0 <= cfg.malicious_ratio <= 1.0):
         raise ConfigInvalid("malicious_ratio must be in [0, 1]")
-    slo, shi = cfg.sections_range
-    if slo < 1 or shi < slo:
-        raise ConfigInvalid(f"sections_range must satisfy 1 <= lo <= hi, got {cfg.sections_range}")
-    if not cfg.malicious_motif_pool:
-        raise ConfigInvalid("malicious motif pool must be non-empty")
-    if set(cfg.malicious_motif_pool) & set(cfg.benign_motif_pool):
-        raise ConfigInvalid("motif pools must be disjoint")
     nlo, nhi = cfg.body_noise_range
     if not (0.0 <= nlo <= nhi < 1.0):
         raise ConfigInvalid(f"body_noise_range must satisfy 0 <= lo <= hi < 1, got {cfg.body_noise_range}")
 
 
-def _malicious_body(
-    rng: np.random.Generator, length: int, motifs: tuple[bytes, ...], noise_fraction: float
-) -> bytes:
+def _malicious_body(rng: np.random.Generator, length: int, noise_fraction: float) -> bytes:
     """Motif tiling over a repetitive low-entropy filler, with planted caves.
 
     Motifs recur every 64 bytes so every ablation chunk carries the class
@@ -232,8 +215,8 @@ def _malicious_body(
     while len(out) < length:
         if block in cave_blocks:
             out += bytes(int(rng.integers(48, 129)))  # zero-filled cave
-        lead = np.frombuffer(motifs[int(rng.integers(0, len(motifs)))], dtype=np.uint8)
-        out += _texture_row(rng, lead, noise_fraction)
+        motif = MALICIOUS_MOTIFS[int(rng.integers(0, len(MALICIOUS_MOTIFS)))]
+        out += _texture_row(rng, np.frombuffer(motif, dtype=np.uint8), noise_fraction)
         block += 1
     del out[length:]
     if out[-1] == 0:  # keep the zero tail a parser-visible slack boundary
@@ -251,16 +234,16 @@ def _texture_row(rng: np.random.Generator, lead: np.ndarray, noise_fraction: flo
     return row.tobytes()
 
 
-def _benign_body(
-    rng: np.random.Generator, length: int, motifs: tuple[bytes, ...], noise_fraction: float
-) -> bytes:
+def _benign_body(rng: np.random.Generator, length: int, noise_fraction: float) -> bytes:
     """Alternating runs of full-range random bytes and motif-free texture.
 
     The texture runs copy the malicious row shape with the marker string
-    replaced by fresh narrow-alphabet bytes (or, when a benign pool is
-    configured, occasionally one of its markers), and take the same
-    per-file corruption and planted caves, so byte-level texture alone
-    does not separate the classes."""
+    replaced by fresh narrow-alphabet bytes, and take the same per-file
+    corruption and planted caves, so byte-level texture alone does not
+    separate the classes.  Benign files carry no markers of their own:
+    benign-only byte strings would hand the detector evidence that no
+    content edit can imitate, which makes robustness comparisons across
+    detectors trivially favorable."""
     n_caves = int(rng.integers(1, 4))
     cave_blocks = set(int(v) for v in rng.integers(2, max(3, length // 64 - 2), size=n_caves))
     out = bytearray()
@@ -272,10 +255,7 @@ def _benign_body(
             while len(out) < run_end:
                 if block in cave_blocks:
                     out += bytes(int(rng.integers(48, 129)))
-                if motifs and rng.random() < 0.25:
-                    lead = np.frombuffer(motifs[int(rng.integers(0, len(motifs)))], dtype=np.uint8)
-                else:
-                    lead = rng.integers(0x20, 0x40, size=16, dtype=np.uint8)
+                lead = rng.integers(0x20, 0x40, size=16, dtype=np.uint8)
                 out += _texture_row(rng, lead, noise_fraction)
                 block += 1
         else:
@@ -307,7 +287,7 @@ def synth_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[CorpusManifest,
 
         rng = np.random.default_rng([cfg.seed, i])
         target = int(rng.integers(cfg.size_range[0], cfg.size_range[1] + 1))
-        n_sections = int(rng.integers(cfg.sections_range[0], cfg.sections_range[1] + 1))
+        n_sections = int(rng.integers(2, 5))  # 2 to 4 sections
         table_gap = int(rng.integers(0, 2)) * 80
         overlay_len = int(rng.integers(0, 257))
 
@@ -319,9 +299,9 @@ def synth_corpus(cfg: SynthConfig, out_dir: str | Path) -> tuple[CorpusManifest,
 
         noise = float(rng.uniform(*cfg.body_noise_range))
         if label == LABEL_MALICIOUS:
-            make_body = lambda r, n: _malicious_body(r, n, cfg.malicious_motif_pool, noise)
+            make_body = lambda r, n: _malicious_body(r, n, noise)
         else:
-            make_body = lambda r, n: _benign_body(r, n, cfg.benign_motif_pool, noise)
+            make_body = lambda r, n: _benign_body(r, n, noise)
         sections = []
         for j, length in enumerate(lengths):
             content = make_body(rng, int(length))

@@ -81,9 +81,6 @@ class MalConvParams:
     def copy(self) -> "MalConvParams":
         return MalConvParams(self.profile, *[t.copy() for t in self.tensors()])
 
-    def astype(self, dtype) -> "MalConvParams":
-        return MalConvParams(self.profile, *[t.astype(dtype) for t in self.tensors()])
-
 
 def _check_shapes(params: MalConvParams) -> None:
     pr = params.profile
@@ -228,12 +225,9 @@ def backward(params: MalConvParams, cache: ForwardCache, label: int) -> dict[str
 # -- optimizer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
@@ -243,25 +237,25 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: MalConvParams, grads: dict[str, np.ndarray], state: AdamState, cfg: AdamConfig) -> None:
+def adam_step(params: MalConvParams, grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
     state.t += 1
-    b1t = 1.0 - cfg.beta1**state.t
-    b2t = 1.0 - cfg.beta2**state.t
+    b1t = 1.0 - ADAM_BETA1**state.t
+    b2t = 1.0 - ADAM_BETA2**state.t
     for i, name in enumerate(TENSOR_FIELDS):
         g = grads[name]
-        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
-        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * g * g
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[i] / b1t
         v_hat = state.v[i] / b2t
         tensor = getattr(params, name)
-        tensor -= (cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(tensor.dtype)
+        tensor -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(tensor.dtype)
 
 
 def train_step(
     params: MalConvParams,
     batch: list[tuple[np.ndarray, int]],
     state: AdamState,
-    cfg: AdamConfig,
+    lr: float,
 ) -> float:
     """One Adam step on the mean gradient of a batch; returns mean loss."""
     total = {name: np.zeros_like(getattr(params, name)) for name in TENSOR_FIELDS}
@@ -278,13 +272,13 @@ def train_step(
     inv = 1.0 / len(batch)
     for name in TENSOR_FIELDS:
         total[name] *= inv
-    adam_step(params, total, state, cfg)
+    adam_step(params, total, state, lr)
     return float(mean_loss)
 
 
-def train_epoch(params, batches, state: AdamState, cfg: AdamConfig) -> float:
+def train_epoch(params, batches, state: AdamState, lr: float) -> float:
     """Adam over an iterable of batches; returns the mean per-batch loss."""
-    losses = [train_step(params, batch, state, cfg) for batch in batches]
+    losses = [train_step(params, batch, state, lr) for batch in batches]
     if not losses:
         return 0.0
     return float(np.mean(losses))
@@ -318,7 +312,7 @@ def save_checkpoint(path: str | Path, params: MalConvParams, detector_meta: dict
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str | Path, dtype=np.float32) -> tuple[MalConvParams, dict]:
+def load_checkpoint(path: str | Path) -> tuple[MalConvParams, dict]:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -367,7 +361,7 @@ def load_checkpoint(path: str | Path, dtype=np.float32) -> tuple[MalConvParams, 
     for shape in shapes:
         count = math.prod(shape)
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
-        tensors.append(arr.astype(dtype))
+        tensors.append(arr.astype(np.float32))
         off += count * 4
     params = MalConvParams(profile, *tensors)
     _check_shapes(params)

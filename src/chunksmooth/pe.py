@@ -29,6 +29,7 @@ SECTION_ENTRY_LEN = 40
 MACHINE_I386 = 0x014C
 OPT_MAGIC_PE32 = 0x010B
 DEFAULT_FILE_ALIGNMENT = 512
+MAX_FILE_ALIGNMENT = 0x10000  # the format's largest FileAlignment, 64 KiB
 DEFAULT_CAVE_MIN_LEN = 32
 
 # offsets inside the optional header of the fields we track
@@ -69,7 +70,6 @@ class PeLayout:
     section_table_offset: int
     file_alignment: int
     size_of_headers: int
-    dos_header_span: tuple[int, int]
     pe_header_span: tuple[int, int]  # PE signature through end of section table
     sections: tuple[SectionEntry, ...]
     used_lens: tuple[int, ...]  # per section, content length before the zero tail
@@ -181,7 +181,8 @@ def parse_pe(data: bytes, cave_min_len: int = DEFAULT_CAVE_MIN_LEN) -> PeLayout:
     used_lens = tuple(
         _used_len(data[sec.raw_offset : sec.raw_offset + sec.raw_size]) for sec in sections
     )
-    overlay_start = max([table_end] + [sec.raw_offset + sec.raw_size for sec in sections])
+    # a section without raw data has no span, whatever its raw offset says
+    overlay_start = max([table_end] + [sec.raw_offset + sec.raw_size for sec in sections if sec.raw_size])
 
     layout = PeLayout(
         file_len=n,
@@ -191,7 +192,6 @@ def parse_pe(data: bytes, cave_min_len: int = DEFAULT_CAVE_MIN_LEN) -> PeLayout:
         section_table_offset=table_offset,
         file_alignment=file_alignment,
         size_of_headers=size_of_headers,
-        dos_header_span=(0, DOS_HEADER_LEN),
         pe_header_span=(e_lfanew, table_end),
         sections=tuple(sections),
         used_lens=used_lens,
@@ -252,7 +252,6 @@ def build_pe(
     file_alignment: int = DEFAULT_FILE_ALIGNMENT,
     timestamp: int = 0,
     overlay: bytes = b"",
-    dos_stub: bytes = b"",
     table_gap: int = 0,
 ) -> tuple[bytes, BuildPlan]:
     """Assemble a synthetic file from section specs.
@@ -263,7 +262,7 @@ def build_pe(
     """
     if not sections:
         raise ValueError("need at least one section")
-    e_lfanew = DOS_HEADER_LEN + len(dos_stub)
+    e_lfanew = DOS_HEADER_LEN
     coff_offset = e_lfanew + len(PE_SIGNATURE)
     opt_offset = coff_offset + COFF_LEN
     table_offset = opt_offset + OPT_HEADER_LEN
@@ -285,7 +284,6 @@ def build_pe(
     buf = bytearray(overlay_start + len(overlay))
     buf[0:2] = b"MZ"
     struct.pack_into("<I", buf, E_LFANEW_OFFSET, e_lfanew)
-    buf[DOS_HEADER_LEN:e_lfanew] = dos_stub
     buf[e_lfanew : e_lfanew + 4] = PE_SIGNATURE
     struct.pack_into(
         "<HHIIIHH",

@@ -3,9 +3,9 @@ with per-step ablation, in-place edit certificates and per-chunk
 attribution.
 
 A smoothed detector scores all L views of a file with the base
-classifier, turns each score into a vote at vote_threshold, and labels
-the file by majority with ties going to malicious (the conservative
-direction for a detector).  The plain (ns) detector is a single forward
+classifier, turns each score into a vote (malicious at a score of at
+least VOTE_THRESHOLD), and labels the file by majority with ties going
+to malicious (the conservative direction for a detector).  The plain (ns) detector is a single forward
 pass over the whole file.
 """
 
@@ -38,6 +38,8 @@ from .errors import ConfigInvalid, DataError, EmptyCorpus, NotLengthPreserving, 
 
 DETECTOR_KINDS = ("ns", "rs", "rca", "sca")
 
+VOTE_THRESHOLD = 0.5  # a view votes malicious at a score >= this
+
 
 # JSON types of the detector meta keys; bool is never taken for a number
 _META_TYPES = {
@@ -45,18 +47,19 @@ _META_TYPES = {
     "p": (int, float),
     "n_views": int,
     "seed": int,
-    "sca_mode": str,
-    "vote_threshold": (int, float),
-    "soft_scores": bool,
 }
+
+# Meta keys with one legal value, of one JSON type.  There is one vote rule
+# (hard votes at VOTE_THRESHOLD, and attack oracles score the vote share)
+# and one sca placement; meta() still writes these keys so that checkpoints
+# stay byte-identical, and from_meta refuses any other value.
+_PINNED_META = {"vote_threshold": VOTE_THRESHOLD, "soft_scores": False, "sca_mode": "even"}
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     kind: str
     ablation: AblationConfig | None = None
-    vote_threshold: float = 0.5
-    soft_scores: bool = False  # attack oracles see mean view score instead of vote share
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
@@ -67,35 +70,36 @@ class DetectorSpec:
         else:
             if self.ablation is None or self.ablation.scheme != self.kind:
                 raise ConfigInvalid(f"detector {self.kind!r} needs an ablation config of the same scheme")
-        if not (0.0 < self.vote_threshold < 1.0):
-            raise ConfigInvalid(f"vote_threshold must be in (0, 1), got {self.vote_threshold}")
 
     def meta(self) -> dict:
-        d = {"kind": self.kind, "vote_threshold": self.vote_threshold, "soft_scores": self.soft_scores}
+        d = {"kind": self.kind, "vote_threshold": VOTE_THRESHOLD, "soft_scores": False}
         if self.ablation is not None:
             d.update(
                 p=self.ablation.p,
                 n_views=self.ablation.n_views,
                 seed=self.ablation.seed,
-                sca_mode="even",  # the one sca placement; kept so checkpoints stay byte-identical
+                sca_mode="even",
             )
         return d
 
     @staticmethod
     def from_meta(meta: dict) -> "DetectorSpec":
         """The spec a checkpoint's detector block describes.  A block that
-        is not an object, lacks a key or holds a value of the wrong JSON
-        type raises DataError; a value out of range raises ConfigInvalid."""
+        is not an object, lacks a key, holds a value of the wrong JSON
+        type or gives a pinned key another value raises DataError; a value
+        out of range raises ConfigInvalid."""
         if not isinstance(meta, dict):
             raise DataError(f"detector meta must be a JSON object, got {type(meta).__name__}")
         for key, kinds in _META_TYPES.items():
             if key not in meta:
                 continue
             value = meta[key]
-            if isinstance(value, bool) != (kinds is bool) or not isinstance(value, kinds):
+            if isinstance(value, bool) or not isinstance(value, kinds):
                 raise DataError(f"detector meta {key!r} has the wrong type: {value!r}")
-        if meta.get("sca_mode", "even") != "even":
-            raise DataError(f"detector meta 'sca_mode' must be 'even', got {meta['sca_mode']!r}")
+        for key, pinned in _PINNED_META.items():
+            value = meta.get(key, pinned)
+            if type(value) is not type(pinned) or value != pinned:
+                raise DataError(f"detector meta {key!r} must be {pinned!r}, got {value!r}")
         try:
             kind = meta["kind"]
             ab = None
@@ -108,12 +112,7 @@ class DetectorSpec:
                 )
         except KeyError as exc:
             raise DataError(f"detector meta is missing {exc.args[0]!r}") from exc
-        return DetectorSpec(
-            kind=kind,
-            ablation=ab,
-            vote_threshold=meta.get("vote_threshold", 0.5),
-            soft_scores=meta.get("soft_scores", False),
-        )
+        return DetectorSpec(kind=kind, ablation=ab)
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class SmoothedPrediction:
     votes: dict[str, int]
     probabilities: dict[str, float]
     label: str
-    mean_score: float
     per_chunk: tuple[ChunkRecord, ...]
     file_len: int
 
@@ -176,13 +174,11 @@ def smoothed_views(
     return make_views(data, cfg, rng)
 
 
-def tally_votes(
-    scores: np.ndarray, vote_threshold: float
-) -> tuple[dict[str, int], dict[str, float], str]:
+def tally_votes(scores: np.ndarray) -> tuple[dict[str, int], dict[str, float], str]:
     """Votes, vote shares and label of one set of view scores; a view
-    votes malicious at score >= vote_threshold and ties go to malicious."""
+    votes malicious at score >= VOTE_THRESHOLD and ties go to malicious."""
     L = scores.size
-    votes_mal = int(np.count_nonzero(scores >= vote_threshold))
+    votes_mal = int(np.count_nonzero(scores >= VOTE_THRESHOLD))
     votes = {LABEL_BENIGN: L - votes_mal, LABEL_MALICIOUS: votes_mal}
     probabilities = {LABEL_BENIGN: (L - votes_mal) / L, LABEL_MALICIOUS: votes_mal / L}
     label = LABEL_MALICIOUS if votes_mal >= L - votes_mal else LABEL_BENIGN
@@ -197,12 +193,12 @@ def predict_smoothed(
 ) -> SmoothedPrediction:
     views = smoothed_views(spec, data, rng)
     scores = neural.forward_scores(params, [v.tokens for v in views])
-    votes, probabilities, label = tally_votes(scores, spec.vote_threshold)
+    votes, probabilities, label = tally_votes(scores)
     per_chunk = tuple(
         ChunkRecord(
             window=v.window,
             score=float(s),
-            vote=LABEL_MALICIOUS if s >= spec.vote_threshold else LABEL_BENIGN,
+            vote=LABEL_MALICIOUS if s >= VOTE_THRESHOLD else LABEL_BENIGN,
         )
         for v, s in zip(views, scores)
     )
@@ -213,7 +209,6 @@ def predict_smoothed(
         votes=votes,
         probabilities=probabilities,
         label=label,
-        mean_score=float(np.mean(scores)),
         per_chunk=per_chunk,
         file_len=len(data),
     )
@@ -226,7 +221,7 @@ def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> st
         return predict_plain(params, data).label
     views = smoothed_views(spec, data)
     scores = neural.forward_scores(params, [v.tokens for v in views])
-    return tally_votes(scores, spec.vote_threshold)[2]
+    return tally_votes(scores)[2]
 
 
 # -- certification -----------------------------------------------------------------
@@ -359,7 +354,6 @@ def train_smoothed(
 
     params = neural.init_params(neural.PROFILES[cfg.profile], cfg.seed)
     adam = neural.AdamState(params)
-    adam_cfg = neural.AdamConfig(lr=cfg.lr)
     rng = np.random.default_rng([cfg.seed, 0xAB1A7E])
 
     history = TrainHistory()
@@ -376,7 +370,7 @@ def train_smoothed(
             ]
             for pos in range(0, len(order), cfg.batch_size)
         )
-        mean_loss = neural.train_epoch(params, batches, adam, adam_cfg)
+        mean_loss = neural.train_epoch(params, batches, adam, cfg.lr)
         val_acc = _validation_accuracy(params, spec, val_files, val_labels)
         history.epoch_losses.append(mean_loss)
         history.val_accuracies.append(val_acc)

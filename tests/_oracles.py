@@ -146,13 +146,13 @@ def dense_backward(params, cache, label):
 # -- voting -------------------------------------------------------------------------
 
 
-def tally_oracle(scores, threshold=0.5):
-    """Brute-force tally: per-view hard vote at the threshold, majority
-    label with the malicious tie-break."""
+def tally_oracle(scores):
+    """Brute-force tally: per-view hard vote at 0.5, majority label with
+    the malicious tie-break."""
     n_mal = 0
     n_ben = 0
     for s in scores:
-        if s >= threshold:
+        if s >= 0.5:
             n_mal += 1
         else:
             n_ben += 1

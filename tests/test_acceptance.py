@@ -129,7 +129,7 @@ def test_criterion_2_vote_math(monkeypatch):
                 kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=L)
             )
             pred = smoothing.predict_smoothed(params, spec, data)
-            votes, probs, label = tally_oracle(scores, spec.vote_threshold)
+            votes, probs, label = tally_oracle(scores)
             assert pred.votes == votes
             assert sum(pred.votes.values()) == L
             assert pred.probabilities == probs

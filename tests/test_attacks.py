@@ -145,8 +145,6 @@ def test_ga_config_validation():
         GaConfig(p_solution_mut=1.5)
     with pytest.raises(ConfigInvalid):
         GaConfig(p_gene_mut=-0.1)
-    with pytest.raises(ConfigInvalid):
-        GaConfig(population=4, elitism=5)
 
 
 # -- oracles -----------------------------------------------------------------------
@@ -185,15 +183,6 @@ def test_make_oracle_matches_direct_predictions():
     assert score == pred.probabilities[LABEL_MALICIOUS]
     assert label == pred.label
 
-    soft_spec = smoothing.DetectorSpec(
-        kind="sca",
-        ablation=AblationConfig(scheme="sca", p=0.05, n_views=20),
-        soft_scores=True,
-    )
-    soft = make_oracle(params, soft_spec)
-    score, _ = soft(data)
-    assert score == pred.mean_score
-
 
 @pytest.mark.parametrize("columns", [1, 2, 5, 19, 33])
 def test_view_scores_rescoring_matches_full_stack(columns):
@@ -224,21 +213,18 @@ def _big_victim():
     return pe.build_pe(specs, file_alignment=512)
 
 
-@pytest.mark.parametrize("soft", [False, True])
 @pytest.mark.parametrize("victim", [_victim, _big_victim])
-def test_rescoring_oracle_attacks_match_predict_smoothed(victim, soft):
+def test_rescoring_oracle_attacks_match_predict_smoothed(victim):
     """Padding and shift campaigns give the same results through the
     rescoring oracle as through one that predicts every query afresh."""
     params = neural.init_params(neural.PROFILES["desk"], seed=22)
     params.fc_b[:] = 0.15  # nearly every view votes malicious: the GA spends its whole budget
-    spec = smoothing.DetectorSpec(
-        kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100), soft_scores=soft
-    )
+    spec = smoothing.DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100))
 
     def fresh_oracle():
         def fn(data):
             pred = smoothing.predict_smoothed(params, spec, data)
-            return (pred.mean_score if soft else pred.probabilities[LABEL_MALICIOUS]), pred.label
+            return pred.probabilities[LABEL_MALICIOUS], pred.label
 
         return DetectorOracle(fn)
 
@@ -459,6 +445,32 @@ def test_caves_rejects_zero_alignment():
     data, _ = _victim(alignment=0)
     with pytest.raises(AlignmentUnsatisfiable):
         attack_caves(data, _hostile_oracle(), CavesConfig(ga=_tiny_ga()))
+
+
+def _with_file_alignment(data: bytes, alignment: int) -> bytes:
+    buf = bytearray(data)
+    pe.patch_u32(buf, pe.parse_pe(data).opt_header_offset + 36, alignment)  # the FileAlignment field
+    return bytes(buf)
+
+
+def test_attacks_refuse_file_alignment_above_64k():
+    """FileAlignment sizes the shift gap and the caves genome, so a header
+    claiming more than the format's 64 KiB maximum is refused before any
+    genome is built."""
+    data, _ = _victim(n_sections=1, cave=True)
+    assert len(data) == 1536
+    ga = _tiny_ga(population=2, generations=1)
+    huge = _with_file_alignment(data, 0x20000)
+    assert pe.parse_pe(huge).file_alignment == 0x20000
+    with pytest.raises(AlignmentUnsatisfiable):
+        attack_shift(huge, _hostile_oracle(), ShiftConfig(extension=16, ga=ga))
+    with pytest.raises(AlignmentUnsatisfiable):
+        attack_gamma(huge, _hostile_oracle(), [b"\x01" * 100], GammaConfig(n_sections=2, ga=ga))
+    with pytest.raises(AlignmentUnsatisfiable):
+        attack_caves(huge, _hostile_oracle(), CavesConfig(ga=ga))
+    # the maximum itself is accepted
+    res = attack_shift(_with_file_alignment(data, 0x10000), _hostile_oracle(), ShiftConfig(extension=16, ga=ga))
+    assert [e - s for s, e in res.payload_spans] == [0x10000]
 
 
 # -- cross-cutting ------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_synth_odd_counts_balance_within_one(tmp_path):
 
 def test_motifs_separate_classes_when_noise_free(clean_corpus):
     manifest, _, _ = clean_corpus
-    pool = SynthConfig().malicious_motif_pool
+    pool = corpus.MALICIOUS_MOTIFS
     for e in manifest.entries:
         data = load_capped(manifest.resolve(e))
         hits = sum(data.count(m) for m in pool)
@@ -119,10 +119,6 @@ def test_malicious_files_have_planted_caves(clean_corpus):
         dict(size_range=(8192, 4096)),  # hi < lo
         dict(size_range=(8192, corpus.SIZE_CAP + 1)),
         dict(malicious_ratio=1.5),
-        dict(sections_range=(0, 2)),
-        dict(sections_range=(3, 2)),
-        dict(malicious_motif_pool=()),
-        dict(benign_motif_pool=(SynthConfig().malicious_motif_pool[0],)),  # overlap
         dict(body_noise_range=(0.5, 0.4)),
         dict(body_noise_range=(0.0, 1.0)),
     ],

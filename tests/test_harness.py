@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _oracles import metrics_oracle
 from chunksmooth import attacks, cli, harness, neural, pe, smoothing
 from chunksmooth.ablation import MAX_VIEWS, AblationConfig
 from chunksmooth.attacks import GaConfig
-from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, read_manifest
+from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, CorpusManifest, read_manifest, write_manifest
 from chunksmooth.errors import ConfigInvalid, DataError, EmptyCorpus, IoFailure
 from chunksmooth.harness import (
     CampaignConfig,
@@ -603,6 +605,40 @@ def test_cli_attack_rejects_bad_knobs(cli_env, tmp_path, capsys, attack, knob):
     assert not (tmp_path / "r.jsonl").exists()
 
 
+def test_cli_attack_aborts_on_an_unparseable_target(cli_env, tmp_path, capsys):
+    """One target that is not a PE file aborts the whole campaign with exit
+    3 and no records file; the adversarial files of the targets attacked
+    before it stay in --adv-dir."""
+    source = read_manifest(cli_env["corpus"] / "manifest.csv")
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    entries = []
+    for e in source.malicious()[:3]:
+        (corpus_dir / e.path).write_bytes((source.root / e.path).read_bytes())
+        entries.append(e)
+    junk = b"not a PE file " * 101  # sha256 f98aba9b...: targets go in digest order
+    (corpus_dir / "junk.bin").write_bytes(junk)
+    entries.append(replace(entries[0], path="junk.bin", sha256=hashlib.sha256(junk).hexdigest()))
+    write_manifest(CorpusManifest(entries=tuple(entries)), corpus_dir / "manifest.csv")
+
+    adv_dir = tmp_path / "adv"
+    out = tmp_path / "r.jsonl"
+    rc = cli.main(
+        [
+            "attack", "--model", str(cli_env["model"]), "--corpus", str(corpus_dir),
+            "--attack", "padding", "--param", "n_pad=64", "--n-files", "4", "--population", "2",
+            "--generations", "1", "--out", str(out), "--adv-dir", str(adv_dir),
+        ]
+    )
+    assert rc == 3
+    assert "MZ" in capsys.readouterr().err
+    assert not out.exists()
+    digests = sorted(e.sha256 for e in entries)
+    before = digests[: digests.index(entries[-1].sha256)]
+    assert before  # the junk target is not the first one attacked
+    assert sorted(p.name for p in adv_dir.iterdir()) == sorted(f"{d[:16]}.adv.bin" for d in before)
+
+
 _NO_DETECTOR = {k: v for k, v in _campaign_records("padding", "sca", {}, 0, 1, 0)[0].items() if k != "detector"}
 
 
@@ -698,6 +734,35 @@ def test_checkpoint_sca_mode_key_is_pinned(kind, tmp_path, capsys):
     assert "sca_mode" in captured.err and captured.out == ""
 
 
+_NS_BIN = (Path(__file__).resolve().parents[1] / "perfbench" / "models" / "ns.bin").read_bytes()
+
+
+def _meta_of(checkpoint: bytes) -> tuple[dict, int]:
+    end = 10 + struct.unpack_from("<I", checkpoint, 6)[0]
+    return json.loads(checkpoint[10:end]), end
+
+
+@pytest.mark.parametrize("key, value", [("vote_threshold", 0.6), ("soft_scores", True), ("soft_scores", 0)])
+def test_checkpoint_vote_keys_are_pinned(key, value, tmp_path, capsys):
+    """There is one vote rule: checkpoints keep writing "vote_threshold": 0.5
+    and "soft_scores": false, and classify refuses a block with any other
+    value, or the same value as another JSON type, with exit 3."""
+    for checkpoint in (_NS_BIN, _SCA_BIN):
+        block = _meta_of(checkpoint)[0]["detector"]
+        assert (block["vote_threshold"], block["soft_scores"]) == (0.5, False)
+        assert smoothing.DetectorSpec.from_meta(block).meta() == block
+
+    meta, end = _meta_of(_SCA_BIN)
+    model = tmp_path / "model.bin"
+    target = tmp_path / "target.bin"
+    target.write_bytes(bytes(range(256)) * 8)
+    blob = json.dumps(dict(meta, detector=dict(meta["detector"], **{key: value})), sort_keys=True).encode()
+    model.write_bytes(_SCA_BIN[:6] + struct.pack("<I", len(blob)) + blob + _SCA_BIN[end:])
+    assert cli.main(["classify", "--model", str(model), str(target)]) == 3
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+
+
 def test_report_inputs_raise_data_errors(tmp_path):
     with pytest.raises(IoFailure):
         harness.read_jsonl(tmp_path / "missing.jsonl")
@@ -756,6 +821,19 @@ def test_cli_config_file_defaults_and_overrides(cli_env, tmp_path):
     bad.write_text("no-such-option = 1\n")
     assert cli.main(["--config", str(bad), "gen-corpus", "--out", str(tmp_path / "c")]) == 2
     assert cli.main(["--config", str(bad)]) == 2
+    # a config file cannot choose the subcommand
+    for command in ("report", "train"):
+        bad.write_text(f"command = {command}\n")
+        assert cli.main(["--config", str(bad)]) == 2
+    # nor set a list-valued option, nor hold a NUL byte
+    for line, argv in (
+        ("clean = eval.json", ["report", "r.jsonl"]),
+        ("param = n_pad=64", ["attack"]),
+        ("files = a.bin", ["classify"]),
+        ("out = a\0b", ["gen-corpus"]),
+    ):
+        bad.write_text(line + "\n")
+        assert cli.main(["--config", str(bad), *argv]) == 2
 
 
 def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
@@ -871,3 +949,37 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
     )
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+_CONFIG_SEEDS = (
+    b"# report defaults\nseed = 3\nthreads = 2\n",
+    b"csv = table.csv\n",
+    b"command = report\n",
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.sampled_from(_CONFIG_SEEDS),
+    edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 63)),
+    subcommand=st.booleans(),
+)
+def test_config_file_fuzz_exits_with_a_code(tmp_path, monkeypatch, seed, edits, cut, subcommand):
+    """Byte-mutated (and optionally truncated) config files, for `report`
+    on a one-record file or for no subcommand at all, end in exit 0, 2 or 3,
+    or in argparse's SystemExit(2); never in another exception."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "write_table_csv", lambda rows, path: None)  # a fuzzed csv path writes nothing
+    harness.write_jsonl(_campaign_records("padding", "sca", {}, 0, 1, 0), tmp_path / "r.jsonl")
+    raw = bytearray(seed)
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    (tmp_path / "c.cfg").write_bytes(bytes(raw[:cut]))
+    argv = ["--config", "c.cfg"] + (["report", "r.jsonl"] if subcommand else [])
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 2, 3)

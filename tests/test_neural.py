@@ -23,7 +23,6 @@ from chunksmooth.errors import (
     VersionUnsupported,
 )
 from chunksmooth.neural import (
-    AdamConfig,
     AdamState,
     MalConvParams,
     ModelProfile,
@@ -250,7 +249,7 @@ def test_adam_zero_lr_changes_nothing():
     before = [t.copy() for t in params.tensors()]
     state = AdamState(params)
     toks = _tokens(np.random.default_rng(11), 64)
-    train_step(params, [(toks, 1)], state, AdamConfig(lr=0.0))
+    train_step(params, [(toks, 1)], state, 0.0)
     for b, t in zip(before, params.tensors()):
         np.testing.assert_array_equal(b, t)
     assert state.t == 1
@@ -260,9 +259,8 @@ def test_duplicate_sample_batch_equals_single_sample_batch():
     toks = _tokens(np.random.default_rng(12), 64)
     p1 = init_params(DESK, seed=12)
     p2 = init_params(DESK, seed=12)
-    cfg = AdamConfig()
-    train_step(p1, [(toks, 1)], AdamState(p1), cfg)
-    train_step(p2, [(toks, 1), (toks, 1)], AdamState(p2), cfg)
+    train_step(p1, [(toks, 1)], AdamState(p1), 1e-3)
+    train_step(p2, [(toks, 1), (toks, 1)], AdamState(p2), 1e-3)
     for a, b in zip(p1.tensors(), p2.tensors()):
         np.testing.assert_array_equal(a, b)
 
@@ -275,7 +273,7 @@ def test_training_is_deterministic():
         params = init_params(DESK, seed=13)
         state = AdamState(params)
         for _ in range(20):
-            train_step(params, batch, state, AdamConfig())
+            train_step(params, batch, state, 1e-3)
         return params
 
     for a, b in zip(run().tensors(), run().tensors()):
@@ -292,7 +290,7 @@ def test_toy_problem_converges_in_200_steps():
     ]
     loss = float("inf")
     for _ in range(200):
-        loss = train_step(params, batch, state, AdamConfig())
+        loss = train_step(params, batch, state, 1e-3)
     assert loss < 0.05, f"final loss {loss}"
 
 
@@ -301,7 +299,7 @@ def test_non_finite_loss_is_an_error():
     params.fc_b[:] = np.nan
     toks = _tokens(np.random.default_rng(15), 64)
     with pytest.raises(NonFiniteLoss):
-        train_step(params, [(toks, 1)], AdamState(params), AdamConfig())
+        train_step(params, [(toks, 1)], AdamState(params), 1e-3)
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import naive_caves
 from chunksmooth import pe
 from chunksmooth.corpus import load_capped
-from chunksmooth.errors import MalformedSectionTable, NotPe
+from chunksmooth.errors import DataError, MalformedSectionTable, NotPe
 
 
 def _build_one(content: bytes, file_alignment: int = 1, **kw):
@@ -210,3 +212,64 @@ def test_build_honors_table_gap_and_overlay():
     table_end = plan.section_table_offset + pe.SECTION_ENTRY_LEN
     assert plan.size_of_headers >= table_end + 80
     assert data[table_end : plan.raw_offsets[0]] == bytes(plan.raw_offsets[0] - table_end)
+
+
+def _fuzz_seed() -> bytes:
+    rng = np.random.default_rng(30)
+    body = lambda n: rng.integers(1, 256, size=n, dtype=np.uint8).tobytes()
+    specs = [
+        pe.SectionSpec(name=".text", content=body(700) + bytes(90) + body(300)),
+        pe.SectionSpec(name=".data", content=body(400)),
+        pe.SectionSpec(name=".bss", content=b"", raw_size=0),
+    ]
+    data, _ = pe.build_pe(specs, file_alignment=512, table_gap=80, overlay=body(100))
+    return data
+
+
+_FUZZ_SEED = _fuzz_seed()
+_SEED_LAYOUT = pe.parse_pe(_FUZZ_SEED)
+# e_lfanew, section count, optional-header size, FileAlignment, SizeOfHeaders,
+# and each table entry's virtual size, address, raw size and raw offset
+_FUZZ_FIELDS = [
+    pe.E_LFANEW_OFFSET,
+    _SEED_LAYOUT.coff_offset + 2,
+    _SEED_LAYOUT.coff_offset + 16,
+    _SEED_LAYOUT.opt_header_offset + 36,
+    _SEED_LAYOUT.opt_header_offset + 60,
+] + [_SEED_LAYOUT.section_entry_offset(i) + k for i in range(3) for k in (8, 12, 16, 20)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(_FUZZ_FIELDS), st.integers(0, 1023)),
+            st.sampled_from([1, 2, 4]),
+            st.integers(0, (1 << 32) - 1),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    cut=st.one_of(st.none(), st.integers(0, len(_FUZZ_SEED))),
+)
+def test_parse_fuzz_returns_in_file_layout_or_raises_data_error(edits, cut):
+    """Byte-mutated (and optionally truncated) copies of a built file parse
+    to a layout whose spans all lie inside the file, or raise DataError;
+    never struct.error or IndexError."""
+    raw = bytearray(_FUZZ_SEED)
+    for pos, width, value in edits:
+        raw[pos : pos + width] = (value & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    data = bytes(raw[:cut])
+    try:
+        layout = pe.parse_pe(data)
+    except DataError:
+        return
+    n = len(data)
+    assert layout.file_len == n
+    assert 0 < layout.pe_header_span[0] < layout.pe_header_span[1] <= n
+    for sec in layout.sections:
+        if sec.raw_size:
+            assert layout.pe_header_span[1] <= sec.raw_offset < sec.raw_offset + sec.raw_size <= n
+    for start, end in layout.slack_regions + layout.code_caves:
+        assert 0 <= start < end <= n
+    assert layout.pe_header_span[1] <= layout.overlay_start <= n

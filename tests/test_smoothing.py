@@ -23,10 +23,8 @@ from chunksmooth.smoothing import (
 DESK = neural.PROFILES["desk"]
 
 
-def _sca_spec(n_views=100, p=0.05, **kw):
-    return DetectorSpec(
-        kind="sca", ablation=AblationConfig(scheme="sca", p=p, n_views=n_views), **kw
-    )
+def _sca_spec(n_views=100, p=0.05):
+    return DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=p, n_views=n_views))
 
 
 def _stub_scores(monkeypatch, scores):
@@ -59,14 +57,14 @@ def test_vote_tally_matches_oracle_on_random_scores(monkeypatch):
         scores = rng.random(20)
         _stub_scores(monkeypatch, scores)
         pred = predict_smoothed(None, spec, data)
-        votes, probs, label = tally_oracle(scores, spec.vote_threshold)
+        votes, probs, label = tally_oracle(scores)
         assert pred.votes == votes
         assert sum(pred.votes.values()) == 20
         assert pred.probabilities == pytest.approx(probs)
         assert sum(pred.probabilities.values()) == pytest.approx(1.0)
         assert pred.label == label
         for rec in pred.per_chunk:
-            want = LABEL_MALICIOUS if rec.score >= spec.vote_threshold else LABEL_BENIGN
+            want = LABEL_MALICIOUS if rec.score >= 0.5 else LABEL_BENIGN
             assert rec.vote == want
 
 
@@ -83,15 +81,6 @@ def test_vote_examples(monkeypatch):
 
     pred, _ = _pred_with_votes(monkeypatch, [0.1] * 51 + [0.9] * 49)
     assert pred.label == LABEL_BENIGN
-
-
-def test_custom_vote_threshold(monkeypatch):
-    pred, _ = _pred_with_votes(monkeypatch, [0.8] * 10)
-    assert pred.votes[LABEL_MALICIOUS] == 10
-    _stub_scores(monkeypatch, [0.8] * 10)
-    spec = _sca_spec(n_views=10, vote_threshold=0.9)
-    pred = predict_smoothed(None, spec, bytes(500))
-    assert pred.votes[LABEL_MALICIOUS] == 0
 
 
 def test_predict_smoothed_rejects_plain_detector():
@@ -287,7 +276,7 @@ def test_attribution_flags_the_motif_window(desk_model):
     # and p=0.05 a 2560-byte file tiles into 20 disjoint 128-byte windows,
     # and the plant fills window 7 = [896, 1024)
     params, _, _ = desk_model
-    from chunksmooth.corpus import DEFAULT_MALICIOUS_MOTIFS
+    from chunksmooth.corpus import MALICIOUS_MOTIFS
 
     rng = np.random.default_rng(7)
 
@@ -296,8 +285,8 @@ def test_attribution_flags_the_motif_window(desk_model):
         return lead.tobytes() + pattern.tobytes() * 12
 
     data = bytearray(rng.integers(0, 256, size=2560, dtype=np.uint8).tobytes())
-    data[896:960] = row(np.frombuffer(DEFAULT_MALICIOUS_MOTIFS[6], dtype=np.uint8))
-    data[960:1024] = row(np.frombuffer(DEFAULT_MALICIOUS_MOTIFS[7], dtype=np.uint8))
+    data[896:960] = row(np.frombuffer(MALICIOUS_MOTIFS[6], dtype=np.uint8))
+    data[960:1024] = row(np.frombuffer(MALICIOUS_MOTIFS[7], dtype=np.uint8))
     assert len(data) == 2560
 
     spec20 = _sca_spec(n_views=20)
@@ -379,14 +368,12 @@ def test_detector_spec_validation():
         DetectorSpec(kind="sca")  # ablation required
     with pytest.raises(ConfigInvalid):
         DetectorSpec(kind="sca", ablation=AblationConfig(scheme="rca"))
-    with pytest.raises(ConfigInvalid):
-        DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca"), vote_threshold=1.0)
 
 
 def test_detector_spec_meta_round_trip():
     for spec in (
         DetectorSpec(kind="ns"),
-        _sca_spec(n_views=33, p=0.02, soft_scores=True),
+        _sca_spec(n_views=33, p=0.02),
         DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.1, n_views=9, seed=4)),
     ):
         assert DetectorSpec.from_meta(spec.meta()) == spec
@@ -416,7 +403,7 @@ def test_label_only_predict_matches_vote_tally(monkeypatch):
     data = bytes(rng.integers(0, 256, size=400, dtype=np.uint8))
     for scores in [rng.random(20) for _ in range(200)] + [[0.9] * 10 + [0.1] * 10, [0.5] * 20]:
         _stub_scores(monkeypatch, scores)
-        assert predict(None, spec, data) == tally_oracle(scores, spec.vote_threshold)[2]
+        assert predict(None, spec, data) == tally_oracle(scores)[2]
 
 
 @pytest.mark.parametrize(
@@ -434,6 +421,11 @@ def test_label_only_predict_matches_vote_tally(monkeypatch):
         ({"kind": "lstm", "p": 0.05, "n_views": 100}, ConfigInvalid),
         ({"kind": "sca", "p": 0.05, "n_views": 100, "sca_mode": "evez"}, DataError),
         ({"kind": "sca", "p": 0.05, "n_views": 10**12}, ConfigInvalid),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "vote_threshold": 0.6}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "vote_threshold": 1}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "soft_scores": True}, DataError),
+        ({"kind": "sca", "p": 0.05, "n_views": 100, "soft_scores": 0}, DataError),
+        ({"kind": "ns", "vote_threshold": 0.4}, DataError),
     ],
 )
 def test_detector_spec_from_meta_rejects_bad_blocks(meta, error):
