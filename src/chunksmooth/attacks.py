@@ -49,21 +49,15 @@ class DetectorOracle:
         return float(score), label
 
 
-# BLAS runs small GEMMs through other kernels than a full view stack's
-# GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
-# desk size, for any batch of up to 37 conv columns.  Rescoring at least this
-# many conv columns (or the whole stack, when it has fewer) keeps the
-# rescored rows on the full stack's kernel.
-MIN_RESCORE_COLUMNS = 64
-
-
 class ViewScores:
     """Scores of a stack of views, recomputed only for the rows whose
     tokens changed since the previous call.
 
     A view's score depends only on its own tokens, so the result is
-    bitwise that of neural.forward_scores on the whole stack.  Holds one
-    call of state.
+    bitwise that of neural.forward_scores on the whole stack.  Rescoring
+    takes at least neural.MIN_RESCORE_COLUMNS conv columns of views (or
+    the whole stack), so the rescored rows run on the full stack's GEMM
+    kernel.  Holds one call of state.
     """
 
     def __init__(self, params):
@@ -75,18 +69,17 @@ class ViewScores:
         stack = np.stack(token_arrays)
         prev, scores = self._stack, self._scores
         if prev is None or prev.shape != stack.shape:
-            scores = neural.forward_scores(self.params, stack)
+            scores = neural.score_views(self.params, stack)
         else:
             changed = (stack != prev).any(axis=1)
             n_changed = int(np.count_nonzero(changed))
             if n_changed:
-                pr = self.params.profile
-                columns = (max(stack.shape[1], pr.window) - pr.window) // pr.stride + 1
-                short = min(len(stack), -(-MIN_RESCORE_COLUMNS // columns)) - n_changed
+                columns = neural.view_columns(self.params.profile, stack.shape[1])
+                short = min(len(stack), -(-neural.MIN_RESCORE_COLUMNS // columns)) - n_changed
                 if short > 0:
                     changed[np.flatnonzero(~changed)[:short]] = True
                 scores = scores.copy()
-                scores[changed] = neural.forward_scores(self.params, stack[changed])
+                scores[changed] = neural.score_views(self.params, stack[changed])
         self._stack, self._scores = stack, scores
         return scores
 

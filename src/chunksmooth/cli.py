@@ -40,7 +40,9 @@ def _detector_spec(args) -> DetectorSpec:
 def _load_model(path: str) -> tuple[neural.MalConvParams, DetectorSpec]:
     params, meta = neural.load_checkpoint(path)
     detector_meta = meta.get("detector")
-    if not detector_meta:
+    # save_checkpoint(path, params) writes null; any other block is the
+    # detector's, and from_meta refuses a malformed one with DataError
+    if detector_meta is None:
         raise ConfigInvalid(f"{path} carries no detector settings; retrain with this version")
     return params, DetectorSpec.from_meta(detector_meta)
 

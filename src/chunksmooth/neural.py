@@ -189,6 +189,52 @@ def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.
     return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
+# A block of views is scored by one forward_scores call whose im2col matrix
+# holds at most this many float32 values (16 MiB): 8,192 conv columns on
+# desk, 1,048 on original.  The working set of a view stack is then one
+# block, not the whole stack.
+BLOCK_ELEMENTS = 1 << 22
+
+# BLAS runs small GEMMs through other kernels than a full view stack's
+# GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
+# desk size, for any batch of up to 37 conv columns.  Every GEMM over part
+# of a stack (a block, a set of rescored views) holds at least this many
+# conv columns, or the whole stack, so it runs on the full stack's kernel.
+MIN_RESCORE_COLUMNS = 64
+
+
+def view_columns(profile: ModelProfile, n_tokens: int) -> int:
+    """Conv columns of one view of n_tokens tokens, padded to the window."""
+    return (max(n_tokens, profile.window) - profile.window) // profile.stride + 1
+
+
+def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]:
+    """Boundaries [0, ..., n_views] of the consecutive blocks score_views
+    cuts a stack of n_views views of n_tokens tokens into.
+
+    Each block holds at least one view, and at least MIN_RESCORE_COLUMNS
+    conv columns unless it is the whole stack: a remainder with fewer joins
+    the block before it.  Within that floor, a block's im2col matrix holds
+    at most BLOCK_ELEMENTS values, unless the block is one view, or the
+    last block with such a remainder."""
+    columns = view_columns(profile, n_tokens)
+    per_view = columns * profile.emb_dim * profile.window
+    size = max(BLOCK_ELEMENTS // per_view, -(-MIN_RESCORE_COLUMNS // columns))
+    bounds = list(range(0, n_views, size))
+    if len(bounds) > 1 and (n_views - bounds[-1]) * columns < MIN_RESCORE_COLUMNS:
+        bounds.pop()
+    return bounds + [n_views]
+
+
+def score_views(params: MalConvParams, token_arrays) -> np.ndarray:
+    """forward_scores of a stack of views of one length, one block at a
+    time (view_blocks); bitwise the scores of one call on the whole stack,
+    since a view's score depends on its own tokens only and every block
+    runs on the whole stack's GEMM kernel."""
+    bounds = view_blocks(params.profile, len(token_arrays), len(token_arrays[0]))
+    return np.concatenate([forward_scores(params, token_arrays[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
 def bce_loss(score: float, label: int) -> float:
     s = min(max(score, LOSS_EPS), 1.0 - LOSS_EPS)
     return -(label * np.log(s) + (1 - label) * np.log1p(-s))

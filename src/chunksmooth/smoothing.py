@@ -192,7 +192,7 @@ def predict_smoothed(
     rng: np.random.Generator | None = None,
 ) -> SmoothedPrediction:
     views = smoothed_views(spec, data, rng)
-    scores = neural.forward_scores(params, [v.tokens for v in views])
+    scores = neural.score_views(params, [v.tokens for v in views])
     votes, probabilities, label = tally_votes(scores)
     per_chunk = tuple(
         ChunkRecord(
@@ -220,7 +220,7 @@ def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> st
     if spec.kind == "ns":
         return predict_plain(params, data).label
     views = smoothed_views(spec, data)
-    scores = neural.forward_scores(params, [v.tokens for v in views])
+    scores = neural.score_views(params, [v.tokens for v in views])
     return tally_votes(scores)[2]
 
 

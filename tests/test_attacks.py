@@ -203,6 +203,25 @@ def test_view_scores_rescoring_matches_full_stack(columns):
     np.testing.assert_array_equal(scores(list(stack)), got)  # nothing changed
 
 
+def test_view_scores_rescoring_matches_full_stack_across_blocks():
+    """A stack over the block budget (100 desk views of 93 columns, blocks
+    of 88 and 12 views): the first call and every rescoring, down to one
+    changed view and up to a rescored set that is blocked itself, give the
+    bits of one forward_scores call on the whole stack."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=22)
+    rng = np.random.default_rng(22)
+    L = 100
+    stack = rng.integers(0, 257, size=(L, 6000)).astype(np.int32)
+    assert neural.view_blocks(params.profile, L, stack.shape[1]) == [0, 88, 100]
+    scores = attacks.ViewScores(params)
+    np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+    for k in (1, 12, 50, 89, 100):
+        rows = rng.choice(L, size=k, replace=False)
+        stack[rows, rng.integers(0, stack.shape[1], size=k)] += 1
+        stack %= 257
+        np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+
+
 def _big_victim():
     """A file of about 40 KB: sca views of 31 conv columns at p=0.05."""
     rng = np.random.default_rng(23)

@@ -763,6 +763,48 @@ def test_checkpoint_vote_keys_are_pinned(key, value, tmp_path, capsys):
     assert key in captured.err and captured.out == ""
 
 
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "detector, code, message",
+    [
+        (_MISSING, 2, "retrain"),
+        (None, 2, "retrain"),
+        (0, 3, "JSON object"),
+        ([], 3, "JSON object"),
+        ("", 3, "JSON object"),
+        (False, 3, "JSON object"),
+        ({}, 3, "missing 'kind'"),
+        (1, 3, "JSON object"),
+        ([1], 3, "JSON object"),
+        ("sca", 3, "JSON object"),
+        (True, 3, "JSON object"),
+    ],
+    ids=[
+        "missing", "null", "0", "empty-list", "empty-string", "false",
+        "empty-object", "1", "list", "string", "true",
+    ],
+)
+def test_cli_checkpoint_detector_block_exit_codes(detector, code, message, tmp_path, capsys):
+    """Only a missing or null detector block (save_checkpoint without detector
+    settings writes null) asks for retraining, with exit 2; any other
+    block that is not a detector's is a data error, exit 3."""
+    meta, end = _meta_of(_SCA_BIN)
+    if detector is _MISSING:
+        del meta["detector"]
+    else:
+        meta["detector"] = detector
+    model = tmp_path / "model.bin"
+    target = tmp_path / "target.bin"
+    target.write_bytes(bytes(range(256)) * 8)
+    blob = json.dumps(meta, sort_keys=True).encode()
+    model.write_bytes(_SCA_BIN[:6] + struct.pack("<I", len(blob)) + blob + _SCA_BIN[end:])
+    assert cli.main(["classify", "--model", str(model), str(target)]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_report_inputs_raise_data_errors(tmp_path):
     with pytest.raises(IoFailure):
         harness.read_jsonl(tmp_path / "missing.jsonl")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import dense_backward, fd_gradient_check, masked_sigmoid, reference_forward
 from chunksmooth import neural
-from chunksmooth.ablation import ABLATE_TOKEN
+from chunksmooth.ablation import ABLATE_TOKEN, AblationConfig
 from chunksmooth.errors import (
     BadMagic,
     ChunkSmoothError,
@@ -34,7 +34,7 @@ from chunksmooth.neural import (
     save_checkpoint,
     train_step,
 )
-from chunksmooth.smoothing import DetectorSpec
+from chunksmooth.smoothing import DetectorSpec, smoothed_views
 
 DESK = neural.PROFILES["desk"]
 
@@ -138,6 +138,104 @@ def test_forward_scores_rows_do_not_depend_on_the_batch(columns):
     for _ in range(30):
         rows = np.sort(rng.choice(40, size=int(rng.integers(2, 41)), replace=False))
         np.testing.assert_array_equal(forward_scores(params, stack[rows]), full[rows])
+
+
+# -- blocked scoring -------------------------------------------------------------
+
+
+ORIGINAL = neural.PROFILES["original"]
+
+
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_view_blocks_keep_the_block_rule(profile):
+    """At least one view per block; at least MIN_RESCORE_COLUMNS columns per
+    block, or the whole stack; within BLOCK_ELEMENTS unless the block holds
+    one view, or is the last block and a remainder of fewer than
+    MIN_RESCORE_COLUMNS columns joined it."""
+    budget = neural.BLOCK_ELEMENTS // (profile.emb_dim * profile.window)  # columns
+    rng = np.random.default_rng(profile.window)
+    lengths = [1, profile.window - 1, profile.window, profile.window + profile.stride, 3200, 6000, 1 << 20]
+    lengths += [int(n) for n in rng.integers(1, 200_000, size=40)]
+    for n_tokens in lengths:
+        columns = neural.view_columns(profile, n_tokens)
+        for n_views in (1, 2, 3, 20, 100, 163, 164, 327, 1000, 10_000):
+            bounds = neural.view_blocks(profile, n_views, n_tokens)
+            assert bounds[0] == 0 and bounds[-1] == n_views
+            for a, b in zip(bounds, bounds[1:]):
+                assert b - a >= 1
+                assert (b - a) * columns >= neural.MIN_RESCORE_COLUMNS or (a, b) == (0, n_views)
+                if b - a > 1 and (b - a) * columns > budget:
+                    assert b == n_views and (b - a) * columns < budget + neural.MIN_RESCORE_COLUMNS
+
+
+def test_view_blocks_examples():
+    # desk: 8,192 columns per block
+    assert neural.view_blocks(DESK, 100, 6000) == [0, 88, 100]  # 93 columns per view
+    assert neural.view_blocks(DESK, 100, 5000) == [0, 100]  # 7,800 columns: one block
+    assert neural.view_blocks(DESK, 3, 1 << 20) == [0, 1, 2, 3]  # a view over budget is a block
+    # 163 views of 50 columns fit; a 1-view remainder (50 < 64 columns) joins the block before it
+    assert neural.view_blocks(DESK, 164, 3200) == [0, 164]
+    assert neural.view_blocks(DESK, 327, 3200) == [0, 163, 327]
+    assert neural.view_blocks(DESK, 328, 3200) == [0, 163, 326, 328]  # 100 columns stay apart
+    # original: 1,048 columns per block
+    assert neural.view_blocks(ORIGINAL, 100, 6000) == [0, 87, 100]  # 12 columns per view
+    assert neural.view_blocks(ORIGINAL, 100, 499) == [0, 100]
+    # where the column floor needs more than the budget (32 columns here), the floor wins
+    wide = ModelProfile(emb_dim=16, n_filters=2, window=8192, stride=4096)
+    assert neural.view_blocks(wide, 130, 8192) == [0, 64, 130]
+
+
+def _view_tokens(kind, n_views, view_len):
+    """The views of one detector whose views hold view_len tokens: rs
+    views are the whole file, chunk views at p = 0.05 a twentieth of it."""
+    file_len = view_len if kind == "rs" else 20 * view_len
+    rng = np.random.default_rng([n_views, view_len])
+    data = rng.integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
+    spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
+    views = smoothed_views(spec, data)
+    assert {v.tokens.size for v in views} == {view_len}
+    return [v.tokens for v in views]
+
+
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+@pytest.mark.parametrize("length", ["short", "window", "long"])
+@pytest.mark.parametrize("n_views", [1, 20, 100])
+@pytest.mark.parametrize("kind", ["rs", "rca", "sca"])
+def test_score_views_matches_one_forward_scores_call(kind, n_views, length, profile):
+    """Blocked scoring gives the bits of one forward_scores call over the
+    whole stack.  At L=100 the long views (6,000 tokens) cross the block
+    budget of both profiles."""
+    view_len = {"short": profile.window - 1, "window": profile.window, "long": 6000}[length]
+    params = init_params(profile, seed=n_views)
+    tokens = _view_tokens(kind, n_views, view_len)
+    if length == "long" and n_views == 100:
+        assert len(neural.view_blocks(profile, n_views, view_len)) > 2
+    np.testing.assert_array_equal(neural.score_views(params, tokens), forward_scores(params, tokens))
+
+
+@pytest.mark.parametrize(
+    "profile, n_views, n_tokens, blocks",
+    [(DESK, 819, 1280, [409, 410]), (ORIGINAL, 69, 15_000, [34, 35])],
+    ids=["desk", "original"],
+)
+def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens, blocks, monkeypatch):
+    """Views of 20 (desk) or 30 (original) columns: full blocks would leave
+    one view, below MIN_RESCORE_COLUMNS, so it joins the block before.
+    Scored as a block of its own, the desk view's score differs from the
+    whole stack's in its last bits under OpenBLAS 0.3."""
+    params = init_params(profile, seed=11)
+    stack = np.random.default_rng(11).integers(0, 257, size=(n_views, n_tokens)).astype(np.int32)
+    want = forward_scores(params, stack)
+    calls = []
+
+    def counted(p, token_arrays):
+        calls.append(len(token_arrays))
+        return forward_scores(p, token_arrays)
+
+    monkeypatch.setattr(neural, "forward_scores", counted)
+    got = neural.score_views(params, stack)
+    assert calls == blocks
+    np.testing.assert_array_equal(got, want)
 
 
 # -- loss --------------------------------------------------------------------------

@@ -5,6 +5,11 @@ runs without failing anything else, so it is checked here."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from chunksmooth import neural, smoothing
+from chunksmooth.ablation import AblationConfig
+
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -15,13 +20,25 @@ def _load_spans():
     return module
 
 
+def _module_attributes(spans):
+    return {mod: dict(vars(mod)) for mod in spans.PACKAGE_MODULES}
+
+
+def _assert_restored(before):
+    for mod, attrs in before.items():
+        after = vars(mod)
+        assert after.keys() == attrs.keys()
+        changed = [k for k in attrs if after[k] is not attrs[k]]
+        assert not changed, f"{mod.__name__}: {changed} not restored"
+
+
 def test_traced_functions_exist_and_tracer_restores_them():
     spans = _load_spans()
     for module, attr, name in spans.TRACED:
         assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr} is gone"
         assert name.split(".")[-1] == attr
 
-    before = {mod: dict(vars(mod)) for mod in spans.PACKAGE_MODULES}
+    before = _module_attributes(spans)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -29,8 +46,32 @@ def test_traced_functions_exist_and_tracer_restores_them():
             assert getattr(module, attr) is not before[module][attr], f"{name} was not wrapped"
     finally:
         tracer.uninstall()
-    for mod, attrs in before.items():
-        after = vars(mod)
-        assert after.keys() == attrs.keys()
-        changed = [k for k in attrs if after[k] is not attrs[k]]
-        assert not changed, f"{mod.__name__}: {changed} not restored"
+    _assert_restored(before)
+
+
+def test_tracer_sees_one_forward_scores_call_per_block():
+    """An rs prediction over the block budget (100 desk views of 312
+    columns, four blocks) reaches the tracer as one self-contained
+    forward_scores call per block: the views add up to L, the every-fourth
+    replay of the embedding gather and gate/pool/head runs on a block, and
+    the scores are those of the untraced run."""
+    spans = _load_spans()
+    params = neural.init_params(neural.PROFILES["desk"], seed=4)
+    data = np.random.default_rng(4).integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
+    spec = smoothing.DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.05, n_views=100))
+    assert len(neural.view_blocks(params.profile, 100, len(data))) - 1 == spans.REPLAY_EVERY
+    want = smoothing.predict_smoothed(params, spec, data)
+
+    before = _module_attributes(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        got = smoothing.predict_smoothed(params, spec, data)
+    finally:
+        tracer.uninstall()
+    _assert_restored(before)
+    assert got == want
+    calls = [s for s in tracer.spans if s["name"] == "neural.forward_scores"]
+    assert len(calls) == spans.REPLAY_EVERY
+    assert tracer.counts["views"] == 100
+    assert len(tracer.replay["embed_gather"]) == len(tracer.replay["gate_pool_head"]) == 1

@@ -1,5 +1,7 @@
 """Smoothed prediction: vote math, certification, attribution, training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,14 +30,15 @@ def _sca_spec(n_views=100, p=0.05):
 
 
 def _stub_scores(monkeypatch, scores):
-    """Make every view score fixed, bypassing the model entirely."""
+    """Make every view score fixed, bypassing the model entirely (the
+    stack scorer, whose blocks follow the model's profile, included)."""
     arr = np.asarray(scores, dtype=np.float64)
 
     def fake(params, token_arrays):
         assert len(token_arrays) == arr.size
         return arr.copy()
 
-    monkeypatch.setattr(neural, "forward_scores", fake)
+    monkeypatch.setattr(neural, "score_views", fake)
 
 
 def _pred_with_votes(monkeypatch, scores, n_views=None, file_len=1000):
@@ -395,6 +398,28 @@ def test_predict_dispatches_on_kind(desk_model, small_splits):
     for sp in specs:
         for data in files:
             assert predict(params, sp, data) == predict_smoothed(params, sp, data).label
+
+
+def _traced_peak_mib(fn) -> float:
+    """Peak of the memory allocated while fn runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_rs_prediction_memory_is_bounded():
+    """One rs prediction holds one block of views in the embedding gather
+    and the im2col copy, not the whole stack: at desk size, L=100 and
+    65,536 bytes, 60 MiB (463 MiB when the stack was scored at once).  sca
+    on the same input is one block and keeps its 23 MiB."""
+    params = neural.init_params(DESK, seed=3)
+    data = np.random.default_rng(5).integers(0, 256, size=65536, dtype=np.uint8).tobytes()
+    rs = DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.05, n_views=100))
+    assert _traced_peak_mib(lambda: predict(params, rs, data)) < 128
+    assert _traced_peak_mib(lambda: predict(params, _sca_spec(), data)) < 24
 
 
 def test_label_only_predict_matches_vote_tally(monkeypatch):
