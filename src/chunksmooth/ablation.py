@@ -18,6 +18,13 @@ Every scheme yields L views of one length: g = ceil(l*p) bytes for the
 chunk schemes, l for rs.  The model right-pads an input shorter than its
 conv window to that window, so a view stack is always rectangular.
 
+A chunk scheme's views are an int64 array of starts plus their common
+length g (sca_starts, rca_starts).  Inference scores them straight from
+the file and the starts (neural.score_chunks), and attack oracles find
+the views an edit touched from the starts; sca_windows, rca_windows and
+make_views wrap the starts into ChunkWindow and AblatedView objects for
+callers that need one record per view.
+
 The placement in the published pseudocode for the evenly spaced sampler
 is not offered.  Its formulas are internally inconsistent: the stride
 collapses to 0 at L=20 (every view is the same chunk) and the windows
@@ -101,18 +108,33 @@ def training_window(file_len: int, p: float, rng: np.random.Generator) -> ChunkW
     return ChunkWindow(start, start + g)
 
 
-def rca_windows(file_len: int, cfg: AblationConfig, rng: np.random.Generator) -> list[ChunkWindow]:
+def rca_starts(file_len: int, cfg: AblationConfig, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Starts (int64) and length g of the L rca chunks: one draw of L
+    uniform starts from rng."""
     g = chunk_length(file_len, cfg.p)
-    starts = rng.integers(0, file_len - g + 1, size=cfg.n_views)
-    return [ChunkWindow(int(s), int(s) + g) for s in starts]
+    return rng.integers(0, file_len - g + 1, size=cfg.n_views), g
 
 
-def sca_windows(file_len: int, cfg: AblationConfig) -> list[ChunkWindow]:
+def sca_starts(file_len: int, cfg: AblationConfig) -> tuple[np.ndarray, int]:
+    """Starts (int64, sorted) and length g of the L evenly spaced sca
+    chunks: start_i = floor(i * (l - g) / (L - 1)), and 0 when L = 1."""
     g = chunk_length(file_len, cfg.p)
     L = cfg.n_views
     if L == 1:
-        return [ChunkWindow(0, g)]
-    return [ChunkWindow(i * (file_len - g) // (L - 1), i * (file_len - g) // (L - 1) + g) for i in range(L)]
+        return np.zeros(1, dtype=np.int64), g
+    return np.arange(L, dtype=np.int64) * (file_len - g) // (L - 1), g
+
+
+def _windows(starts: np.ndarray, g: int) -> list[ChunkWindow]:
+    return [ChunkWindow(s, s + g) for s in starts.tolist()]
+
+
+def rca_windows(file_len: int, cfg: AblationConfig, rng: np.random.Generator) -> list[ChunkWindow]:
+    return _windows(*rca_starts(file_len, cfg, rng))
+
+
+def sca_windows(file_len: int, cfg: AblationConfig) -> list[ChunkWindow]:
+    return _windows(*sca_starts(file_len, cfg))
 
 
 def rs_tokens(data: bytes, cfg: AblationConfig, rng: np.random.Generator) -> np.ndarray:
@@ -135,12 +157,14 @@ def make_views(data: bytes, cfg: AblationConfig, rng: np.random.Generator | None
     """
     file_len = len(data)
     if cfg.scheme == "sca":
-        return [AblatedView(w, window_tokens(data, w)) for w in sca_windows(file_len, cfg)]
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if cfg.scheme == "rca":
-        return [AblatedView(w, window_tokens(data, w)) for w in rca_windows(file_len, cfg, rng)]
-    return [AblatedView(None, rs_tokens(data, cfg, rng)) for _ in range(cfg.n_views)]
+        windows = sca_windows(file_len, cfg)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed)
+        if cfg.scheme == "rs":
+            return [AblatedView(None, rs_tokens(data, cfg, rng)) for _ in range(cfg.n_views)]
+        windows = rca_windows(file_len, cfg, rng)
+    return [AblatedView(w, window_tokens(data, w)) for w in windows]
 
 
 def windows_touching(windows: list[ChunkWindow], region: tuple[int, int]) -> list[int]:
@@ -149,3 +173,12 @@ def windows_touching(windows: list[ChunkWindow], region: tuple[int, int]) -> lis
     if b <= a:
         return []
     return [i for i, w in enumerate(windows) if w.start < b and w.end > a]
+
+
+def count_touching(starts: np.ndarray, g: int, region: tuple[int, int]) -> int:
+    """How many of the windows [s, s+g), for s in sorted starts, have a
+    non-empty intersection with [region): those with a - g < s < b."""
+    a, b = region
+    if b <= a:
+        return 0
+    return int(np.searchsorted(starts, b) - np.searchsorted(starts, a - g, side="right"))

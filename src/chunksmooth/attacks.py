@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural, pe, smoothing
+from .ablation import AblationConfig, sca_starts
 from .errors import (
     AlignmentUnsatisfiable,
     CapUnsatisfiable,
@@ -50,45 +51,52 @@ class DetectorOracle:
 
 
 class ViewScores:
-    """Scores of a stack of views, recomputed only for the rows whose
-    tokens changed since the previous call.
+    """Scores of the L sca views of a query, recomputed only for the views
+    whose window covers a byte that changed since the previous query.
 
-    A view's score depends only on its own tokens, so the result is
-    bitwise that of neural.forward_scores on the whole stack.  Rescoring
+    A view's score depends only on its own bytes, so the result is bitwise
+    that of scoring every view afresh (neural.score_chunks).  Rescoring
     takes at least neural.MIN_RESCORE_COLUMNS conv columns of views (or
-    the whole stack), so the rescored rows run on the full stack's GEMM
-    kernel.  Holds one call of state.
+    all of them), so the rescored views run on the full stack's GEMM
+    kernel.  Holds one query of state: its bytes and its scores.  A query
+    of another length has other windows and is scored afresh.
     """
 
-    def __init__(self, params):
+    def __init__(self, params, cfg: AblationConfig):
         self.params = params
-        self._stack = None
+        self.cfg = cfg
+        self._bytes = None
         self._scores = None
 
-    def __call__(self, token_arrays) -> np.ndarray:
-        stack = np.stack(token_arrays)
-        prev, scores = self._stack, self._scores
-        if prev is None or prev.shape != stack.shape:
-            scores = neural.score_views(self.params, stack)
+    def __call__(self, data: bytes) -> np.ndarray:
+        new = np.frombuffer(data, dtype=np.uint8)
+        starts, g = sca_starts(new.size, self.cfg)
+        prev, scores = self._bytes, self._scores
+        if prev is None or prev.size != new.size:
+            scores = neural.score_chunks(self.params, new, starts, g)
         else:
-            changed = (stack != prev).any(axis=1)
+            diffs = np.zeros(new.size + 1, dtype=np.int64)
+            np.cumsum(new != prev, out=diffs[1:])
+            changed = diffs[starts + g] > diffs[starts]  # the window covers a changed byte
             n_changed = int(np.count_nonzero(changed))
             if n_changed:
-                columns = neural.view_columns(self.params.profile, stack.shape[1])
-                short = min(len(stack), -(-neural.MIN_RESCORE_COLUMNS // columns)) - n_changed
+                columns = neural.view_columns(self.params.profile, g)
+                short = min(starts.size, -(-neural.MIN_RESCORE_COLUMNS // columns)) - n_changed
                 if short > 0:
                     changed[np.flatnonzero(~changed)[:short]] = True
                 scores = scores.copy()
-                scores[changed] = neural.score_views(self.params, stack[changed])
-        self._stack, self._scores = stack, scores
+                scores[changed] = neural.score_chunks(self.params, new, starts[changed], g)
+        self._bytes, self._scores = new, scores
         return scores
 
 
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label. For vote detectors the score is the
-    malicious vote share.  Vote detectors rescore only the views whose
-    bytes changed since the previous query (ViewScores), with the same
-    results as predict_smoothed."""
+    malicious vote share, with the same results as predict_smoothed.  sca
+    rescores only the views whose bytes changed since the previous query
+    (ViewScores).  rca and rs draw their views from the query's content
+    (smoothing.content_rng), so any edit redraws every view: they score
+    each query afresh and keep no state."""
 
     if spec.kind == "ns":
 
@@ -97,11 +105,15 @@ def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
             return pred.score, pred.label
 
     else:
-        view_scores = ViewScores(params)
+        if spec.kind == "sca":
+            scores_of = ViewScores(params, spec.ablation)
+        else:
+
+            def scores_of(data: bytes):
+                return smoothing.view_scores(params, spec, data)[0]
 
         def fn(data: bytes):
-            scores = view_scores([v.tokens for v in smoothing.smoothed_views(spec, data)])
-            _, probabilities, label = smoothing.tally_votes(scores)
+            _, probabilities, label = smoothing.tally_votes(scores_of(data))
             return probabilities[LABEL_MALICIOUS], label
 
     return DetectorOracle(fn)

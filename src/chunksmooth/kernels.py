@@ -1,7 +1,8 @@
 """Hot numeric kernels, written as vectorized numpy.
 
-The conv kernels become one GEMM over the stride-spaced window columns;
-the scatters use ``np.add.at``.  Backward touches only the input rows
+The conv kernels become one GEMM over the stride-spaced window columns,
+cut from one embedded sequence at any set of view start offsets; the
+scatters use ``np.add.at``.  Backward touches only the input rows
 under the pooled windows (at most n_filters * window of them): the conv
 gradient is accumulated on those rows and only they are scattered into
 the embedding table, with the same non-zero terms in the same order as
@@ -16,21 +17,26 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # -- gated conv pair ----------------------------------------------------------
 #
-# xs       (n, t, e)  stack of embedded chunks, t >= w
+# x        (T, e)     one embedded sequence
+# starts   (n,)       first position in x of each of n views of t >= w positions
 # wa, wb   (f, e, w)  conv weights, filter-major
 # ba, bb   (f,)       biases
 # returns  (n, j, f)  pre-activations at each window position, j = (t-w)//stride + 1
 #
-# Both public conv kernels call this private body rather than each other, so
-# a wrapper around one of them (perfbench/ traces them) never sees the other's calls.
+# One im2col body: column (i, k) is the (e, w) window of x at
+# starts[i] + stride*k.  The copy is fastest when x is stored feature-major
+# (neural.embed), so that each of a window's e rows is w contiguous values.
+# The public conv kernels call this private body rather than each other, so
+# a wrapper around one of them (perfbench/ traces them) never sees the
+# others' calls.
 
 
-def _conv_pair_stack(xs, wa, ba, wb, bb, stride):
+def _conv_pair_cols(x, starts, t, wa, ba, wb, bb, stride):
     f, e, w = wa.shape
-    n, t, _ = xs.shape
+    n = starts.size
     j = (t - w) // stride + 1
-    win = sliding_window_view(xs, w, axis=1)  # (n, t-w+1, e, w)
-    cols = np.ascontiguousarray(win[:, ::stride][:, :j]).reshape(n * j, e * w)
+    win = sliding_window_view(x, w, axis=0)  # (T-w+1, e, w)
+    cols = win[starts[:, None] + stride * np.arange(j)].reshape(n * j, e * w)
     a = cols @ wa.reshape(f, e * w).T + ba
     b = cols @ wb.reshape(f, e * w).T + bb
     return a.reshape(n, j, f), b.reshape(n, j, f)
@@ -39,13 +45,21 @@ def _conv_pair_stack(xs, wa, ba, wb, bb, stride):
 def conv_pair(x, wa, ba, wb, bb, stride):
     """One embedded chunk x (t, e) -> pre-activations (j, f).  The same
     (j, e*w) GEMM as a one-chunk stack, so the bits match conv_pair_many."""
-    a, b = _conv_pair_stack(x[None], wa, ba, wb, bb, stride)
+    a, b = _conv_pair_cols(x, np.zeros(1, np.int64), x.shape[0], wa, ba, wb, bb, stride)
     return a[0], b[0]
 
 
 def conv_pair_many(xs, wa, ba, wb, bb, stride):
     """A stack of equal-length chunks xs (n, t, e) -> (n, j, f), as one GEMM."""
-    return _conv_pair_stack(xs, wa, ba, wb, bb, stride)
+    n, t, e = xs.shape
+    return _conv_pair_cols(xs.reshape(n * t, e), np.arange(n) * t, t, wa, ba, wb, bb, stride)
+
+
+def conv_pair_views(x, starts, t, wa, ba, wb, bb, stride):
+    """The views x[s : s+t] of one embedded sequence x (T, e), for s in
+    starts -> (n, j, f), as one GEMM: bitwise conv_pair_many of the stacked
+    views, without stacking them."""
+    return _conv_pair_cols(x, starts, t, wa, ba, wb, bb, stride)
 
 
 # -- conv backward at the pooled positions -------------------------------------

@@ -129,6 +129,14 @@ def _sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+def embed(params: MalConvParams, tokens: np.ndarray) -> np.ndarray:
+    """params.emb[tokens] for tokens of any shape (..., t) -> (..., t, e),
+    stored feature-major: the same values, laid out so that the im2col copy
+    in kernels moves runs of contiguous positions of one feature."""
+    table = np.ascontiguousarray(params.emb.T)  # (e, VOCAB_SIZE)
+    return np.moveaxis(np.take(table, tokens, axis=1), 0, -1)
+
+
 def _pad_tokens(tokens: np.ndarray, window: int) -> np.ndarray:
     if tokens.ndim != 1 or tokens.size == 0:
         raise ShapeMismatch("tokens must be a non-empty 1-D array")
@@ -152,7 +160,7 @@ class ForwardCache:
 def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
     pr = params.profile
     toks = _pad_tokens(tokens, pr.window)
-    x = params.emb[toks]
+    x = embed(params, toks)
     a, b = kernels.conv_pair(x, params.wa, params.ba, params.wb, params.bb, pr.stride)
     gate = _sigmoid(b)
     gated = a * gate
@@ -172,6 +180,17 @@ def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
     )
 
 
+def _pooled_scores(params: MalConvParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gate, max-pool and head of a stack of views' pre-activations
+    (n, j, f) -> n scores."""
+    gated = a * _sigmoid(b)
+    h = gated.max(axis=1)  # (n, f)
+    # a per-row reduction, not a gemv: gemv bits depend on the batch size,
+    # and a view's score must depend on its own tokens only
+    logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
+    return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
+
+
 def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.ndarray:
     """Scores for many views of one length, in one batched conv call.
 
@@ -179,14 +198,10 @@ def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.
     views shorter than the conv window are right-padded to it.
     token_arrays may also be a 2-D stack of views."""
     pr = params.profile
-    xs = params.emb[np.stack([_pad_tokens(t, pr.window) for t in token_arrays])]
+    # stacked as intp, the index type of np.take, so embed makes no converted copy
+    xs = embed(params, np.stack([_pad_tokens(t, pr.window) for t in token_arrays], dtype=np.intp))
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
-    gated = a * _sigmoid(b)
-    h = gated.max(axis=1)  # (n, f)
-    # a per-row reduction, not a gemv: gemv bits depend on the batch size,
-    # and a view's score must depend on its own tokens only
-    logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
-    return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
+    return _pooled_scores(params, a, b)
 
 
 # A block of views is scored by one forward_scores call whose im2col matrix
@@ -233,6 +248,27 @@ def score_views(params: MalConvParams, token_arrays) -> np.ndarray:
     runs on the whole stack's GEMM kernel."""
     bounds = view_blocks(params.profile, len(token_arrays), len(token_arrays[0]))
     return np.concatenate([forward_scores(params, token_arrays[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def score_chunks(params: MalConvParams, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
+    """Scores of the chunk views tokens[s : s+g] of one file, for s in
+    starts; bitwise score_views of those views.
+
+    The file is embedded once and every block of views (view_blocks, so
+    each GEMM has the row count it has in score_views) takes its conv
+    columns from that one embedding by start offset.  Views shorter than
+    the conv window are padded, so they go through score_views."""
+    pr = params.profile
+    if g < pr.window:
+        return score_views(params, [tokens[s : s + g] for s in starts])
+    x = embed(params, tokens)
+    bounds = view_blocks(pr, starts.size, g)
+    return np.concatenate([
+        _pooled_scores(params, *kernels.conv_pair_views(
+            x, starts[a:b], g, params.wa, params.ba, params.wb, params.bb, pr.stride
+        ))
+        for a, b in zip(bounds, bounds[1:])
+    ])
 
 
 def bce_loss(score: float, label: int) -> float:

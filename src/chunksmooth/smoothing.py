@@ -22,11 +22,13 @@ from .ablation import (
     AblatedView,
     AblationConfig,
     ChunkWindow,
+    count_touching,
     make_views,
-    training_window,
+    rca_starts,
     rs_tokens,
+    sca_starts,
+    training_window,
     window_tokens,
-    windows_touching,
 )
 from .corpus import (
     LABEL_BENIGN,
@@ -161,17 +163,41 @@ def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     return PlainPrediction(score=score, label=label)
 
 
-def smoothed_views(
-    spec: DetectorSpec, data: bytes, rng: np.random.Generator | None = None
-) -> list[AblatedView]:
-    """The L views a smoothed detector votes over.  rca and rs draw from
-    content_rng unless given an rng; sca is a pure function of len(data)."""
+def _view_rng(spec: DetectorSpec, data: bytes, rng: np.random.Generator | None) -> np.random.Generator | None:
+    """The rng the views of data draw from: rng if given, else content_rng
+    for rca and rs; sca draws none."""
     if spec.kind == "ns":
         raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
     cfg = spec.ablation
     if rng is None and cfg.scheme != "sca":
         rng = content_rng(cfg.seed, data)
-    return make_views(data, cfg, rng)
+    return rng
+
+
+def smoothed_views(
+    spec: DetectorSpec, data: bytes, rng: np.random.Generator | None = None
+) -> list[AblatedView]:
+    """The L views a smoothed detector votes over.  rca and rs draw from
+    content_rng unless given an rng; sca is a pure function of len(data)."""
+    return make_views(data, spec.ablation, _view_rng(spec, data, rng))
+
+
+def view_scores(
+    params: neural.MalConvParams,
+    spec: DetectorSpec,
+    data: bytes,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """The scores of the L views of smoothed_views, with the views' starts
+    and length g.  Chunk views are scored from the file and their starts
+    (neural.score_chunks); rs views, which have no starts (None), as a
+    stack (neural.score_views)."""
+    if spec.kind == "rs":
+        return neural.score_views(params, [v.tokens for v in smoothed_views(spec, data, rng)]), None, len(data)
+    rng = _view_rng(spec, data, rng)
+    cfg = spec.ablation
+    starts, g = sca_starts(len(data), cfg) if cfg.scheme == "sca" else rca_starts(len(data), cfg, rng)
+    return neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g), starts, g
 
 
 def tally_votes(scores: np.ndarray) -> tuple[dict[str, int], dict[str, float], str]:
@@ -191,16 +217,16 @@ def predict_smoothed(
     data: bytes,
     rng: np.random.Generator | None = None,
 ) -> SmoothedPrediction:
-    views = smoothed_views(spec, data, rng)
-    scores = neural.score_views(params, [v.tokens for v in views])
+    scores, starts, g = view_scores(params, spec, data, rng)
     votes, probabilities, label = tally_votes(scores)
+    windows = [None] * scores.size if starts is None else [ChunkWindow(s, s + g) for s in starts.tolist()]
     per_chunk = tuple(
         ChunkRecord(
-            window=v.window,
+            window=w,
             score=float(s),
             vote=LABEL_MALICIOUS if s >= VOTE_THRESHOLD else LABEL_BENIGN,
         )
-        for v, s in zip(views, scores)
+        for w, s in zip(windows, scores)
     )
     return SmoothedPrediction(
         kind=spec.kind,
@@ -219,9 +245,7 @@ def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> st
     smoothed path is predict_smoothed without its per-chunk records."""
     if spec.kind == "ns":
         return predict_plain(params, data).label
-    views = smoothed_views(spec, data)
-    scores = neural.score_views(params, [v.tokens for v in views])
-    return tally_votes(scores)[2]
+    return tally_votes(view_scores(params, spec, data)[0])[2]
 
 
 # -- certification -----------------------------------------------------------------
@@ -253,7 +277,8 @@ def certify_inplace(
     a, b = edit_region
     if not (0 <= a <= b <= pred.file_len):
         raise NotLengthPreserving(f"edit region {edit_region} not inside [0, {pred.file_len}]")
-    touched = len(windows_touching([c.window for c in pred.per_chunk], edit_region))
+    starts, g = sca_starts(pred.file_len, AblationConfig(scheme="sca", p=pred.p, n_views=pred.n_views))
+    touched = count_touching(starts, g, edit_region)
     margin = pred.margin
     if pred.label == LABEL_MALICIOUS:
         certified = margin >= 2 * touched

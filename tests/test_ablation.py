@@ -15,9 +15,12 @@ from chunksmooth.ablation import (
     AblationConfig,
     ChunkWindow,
     chunk_length,
+    count_touching,
     make_views,
+    rca_starts,
     rca_windows,
     rs_tokens,
+    sca_starts,
     sca_windows,
     training_window,
     window_tokens,
@@ -109,6 +112,20 @@ def test_rca_windows_shape_and_determinism():
         assert w.length == 50 and 0 <= w.start and w.end <= 1000
     ws3 = rca_windows(1000, cfg, np.random.default_rng(4))
     assert ws3 != ws1
+
+
+def test_rca_starts_consume_the_rng_as_rca_windows_did():
+    """One draw of L uniform int64 starts in [0, l-g], the draw rca_windows
+    always made: rca predictions keep their windows, and the generator is
+    left in the same state."""
+    cfg = _rca_cfg(n_views=40)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    starts, g = rca_starts(1000, cfg, got_rng)
+    want = want_rng.integers(0, 1000 - 50 + 1, size=40)
+    assert g == 50 and starts.dtype == np.int64
+    np.testing.assert_array_equal(starts, want)
+    assert got_rng.random() == want_rng.random()
+    assert rca_windows(1000, cfg, np.random.default_rng(5)) == [ChunkWindow(int(s), int(s) + 50) for s in want]
 
 
 # -- structured chunk placement ---------------------------------------------------
@@ -250,6 +267,30 @@ def test_windows_touching_matches_naive_oracle():
             continue
         assert len(got) == naive_touch_count(ws, (a, b))
         assert got == [i for i, w in enumerate(ws) if max(w.start, a) < min(w.end, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    l=st.one_of(st.integers(1, 300), st.integers(1, 10**6)),
+    p=st.sampled_from([0.01, 0.05, 0.2, 1.0]),
+    n_views=st.sampled_from([1, 2, 20, 100, 1000]),
+    data=st.data(),
+)
+def test_count_touching_matches_windows_touching(l, p, n_views, data):
+    """Counting touched sca windows by binary search on the starts agrees
+    with the list scan, for random, empty and edge regions; the starts are
+    the closed form start_i = floor(i * (l - g) / (L - 1))."""
+    cfg = _sca_cfg(n_views=n_views, p=p)
+    starts, g = sca_starts(l, cfg)
+    windows = sca_windows(l, cfg)
+    L = n_views
+    assert starts.tolist() == [0 if L == 1 else i * (l - g) // (L - 1) for i in range(L)]
+    a = data.draw(st.integers(0, l), label="a")
+    region = data.draw(
+        st.sampled_from([(a, data.draw(st.integers(a, l), label="b")), (a, a), (0, a), (a, l), (0, l)]),
+        label="region",
+    )
+    assert count_touching(starts, g, region) == len(windows_touching(windows, region))
 
 
 # -- legality property ---------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from _oracles import bytes_match_outside, insertion_recovers, padding_recovers
 from chunksmooth import attacks, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig
+from chunksmooth.ablation import AblationConfig, make_views, sca_windows, windows_touching
 from chunksmooth.attacks import (
     CavesConfig,
     DetectorOracle,
@@ -184,42 +184,113 @@ def test_make_oracle_matches_direct_predictions():
     assert label == pred.label
 
 
+def _fresh_scores(params, cfg, data):
+    """Every view of data scored afresh, as one forward_scores call on the
+    stack of its views."""
+    return neural.forward_scores(params, [v.tokens for v in make_views(data, cfg)])
+
+
+def _edit_views(data, g, rows, rng):
+    """Change one byte inside each of the tiling windows [r*g, (r+1)*g)."""
+    out = bytearray(data)
+    for r in rows:
+        i = r * g + int(rng.integers(0, g))
+        out[i] = (out[i] + 1) % 256
+    return bytes(out)
+
+
 @pytest.mark.parametrize("columns", [1, 2, 5, 19, 33])
 def test_view_scores_rescoring_matches_full_stack(columns):
-    """For change masks of every size, rescoring only the changed rows
-    gives the scores of the whole stack, bitwise."""
+    """For change masks of every size, rescoring only the views whose
+    window covers a changed byte gives the scores of the whole stack,
+    bitwise.  At L=20 and p=0.05 the windows tile the file, so editing one
+    byte in each of k windows changes exactly k views."""
     params = neural.init_params(neural.PROFILES["desk"], seed=21)
     rng = np.random.default_rng(columns)
-    L = 20
-    stack = rng.integers(0, 257, size=(L, 64 * columns + 7)).astype(np.int32)
-    scores = attacks.ViewScores(params)
-    np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+    L, g = 20, 64 * columns + 7
+    cfg = AblationConfig(scheme="sca", p=0.05, n_views=L)
+    data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
+    assert [w.start for w in sca_windows(len(data), cfg)] == [i * g for i in range(L)]
+    scores = attacks.ViewScores(params, cfg)
+    np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
     for k in list(range(1, L + 1)) * 2:
-        rows = rng.choice(L, size=k, replace=False)
-        cols = rng.integers(0, stack.shape[1], size=k)
-        stack[rows, cols] = (stack[rows, cols] + 1) % 257
-        got = scores(list(stack))
-        np.testing.assert_array_equal(got, neural.forward_scores(params, stack))
-    np.testing.assert_array_equal(scores(list(stack)), got)  # nothing changed
+        data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
+        got = scores(data)
+        np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
+    np.testing.assert_array_equal(scores(data), got)  # nothing changed
 
 
 def test_view_scores_rescoring_matches_full_stack_across_blocks():
     """A stack over the block budget (100 desk views of 93 columns, blocks
     of 88 and 12 views): the first call and every rescoring, down to one
     changed view and up to a rescored set that is blocked itself, give the
-    bits of one forward_scores call on the whole stack."""
+    bits of one forward_scores call on the whole stack.  At p=0.01 the 100
+    windows tile the file."""
     params = neural.init_params(neural.PROFILES["desk"], seed=22)
     rng = np.random.default_rng(22)
-    L = 100
-    stack = rng.integers(0, 257, size=(L, 6000)).astype(np.int32)
-    assert neural.view_blocks(params.profile, L, stack.shape[1]) == [0, 88, 100]
-    scores = attacks.ViewScores(params)
-    np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+    L, g = 100, 6000
+    cfg = AblationConfig(scheme="sca", p=0.01, n_views=L)
+    data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
+    assert neural.view_blocks(params.profile, L, g) == [0, 88, 100]
+    scores = attacks.ViewScores(params, cfg)
+    np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
     for k in (1, 12, 50, 89, 100):
-        rows = rng.choice(L, size=k, replace=False)
-        stack[rows, rng.integers(0, stack.shape[1], size=k)] += 1
-        stack %= 257
-        np.testing.assert_array_equal(scores(list(stack)), neural.forward_scores(params, stack))
+        data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
+        np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
+
+
+def _rescored_starts(monkeypatch):
+    """Record the starts of every score_chunks call."""
+    seen = []
+    score_chunks = neural.score_chunks
+
+    def recording(params, tokens, starts, g):
+        seen.append(starts.tolist())
+        return score_chunks(params, tokens, starts, g)
+
+    monkeypatch.setattr(neural, "score_chunks", recording)
+    return seen
+
+
+def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
+    """Two disjoint edited runs in a file whose L=100 windows overlap: the
+    views rescored are the windows touching either run, and the scores are
+    bitwise those of a fresh score.  A query equal to the previous one
+    rescores nothing."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=23)
+    rng = np.random.default_rng(23)
+    cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
+    data = rng.integers(0, 256, size=40_000, dtype=np.uint8).tobytes()
+    windows = sca_windows(len(data), cfg)
+    scores = attacks.ViewScores(params, cfg)
+    seen = _rescored_starts(monkeypatch)
+    scores(data)
+    for runs in (((3000, 3010), (31_000, 31_500)), ((0, 400), (39_600, 40_000)), ((10_000, 10_001), (20_000, 20_002))):
+        edited = bytearray(data)
+        for a, b in runs:
+            edited[a:b] = bytes((x + 1) % 256 for x in edited[a:b])
+        data = bytes(edited)
+        seen.clear()
+        got = scores(data)
+        np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
+        touched = sorted(set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1])))
+        assert len(touched) * neural.view_columns(params.profile, windows[0].length) >= neural.MIN_RESCORE_COLUMNS
+        assert seen == [[windows[i].start for i in touched]]
+    seen.clear()
+    np.testing.assert_array_equal(scores(data), got)
+    assert seen == []
+
+
+def test_view_scores_scores_a_query_of_another_length_afresh():
+    """A query of another length has other windows: it is scored afresh,
+    and so is the query after it, back at the first length."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=24)
+    rng = np.random.default_rng(24)
+    cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
+    data = rng.integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
+    scores = attacks.ViewScores(params, cfg)
+    for query in (data, data + bytes(64), data[:-1] + b"x", data[:5000], data):
+        np.testing.assert_array_equal(scores(query), _fresh_scores(params, cfg, query))
 
 
 def _big_victim():

@@ -55,6 +55,21 @@ def test_conv_pair_stride_one_window_equals_length():
     np.testing.assert_allclose(b, rb, rtol=1e-12)
 
 
+def test_conv_pair_views_matches_the_stacked_views():
+    """Views cut from one sequence by start offset, in any order, repeated
+    and up to the sequence's end, in either memory layout, give the bits of
+    conv_pair_many over the stacked views."""
+    rng = np.random.default_rng(3)
+    x, wa, ba, wb, bb = _random_case(rng, t=200, dtype=np.float32)
+    starts = np.array([0, 37, 37, 5, 152, 96, 1], dtype=np.int64)
+    want = kernels.conv_pair_many(np.stack([x[s : s + 48] for s in starts]), wa, ba, wb, bb, stride=4)
+    for seq in (x, np.asfortranarray(x)):
+        got = kernels.conv_pair_views(seq, starts, 48, wa, ba, wb, bb, stride=4)
+        assert got[0].shape == (7, 11, 3)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
 def test_conv_pair_many_matches_single_calls():
     rng = np.random.default_rng(2)
     _, wa, ba, wb, bb = _random_case(rng)

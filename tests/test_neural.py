@@ -34,7 +34,7 @@ from chunksmooth.neural import (
     save_checkpoint,
     train_step,
 )
-from chunksmooth.smoothing import DetectorSpec, smoothed_views
+from chunksmooth.smoothing import DetectorSpec, predict_smoothed, smoothed_views, view_scores
 
 DESK = neural.PROFILES["desk"]
 
@@ -185,16 +185,17 @@ def test_view_blocks_examples():
     assert neural.view_blocks(wide, 130, 8192) == [0, 64, 130]
 
 
-def _view_tokens(kind, n_views, view_len):
-    """The views of one detector whose views hold view_len tokens: rs
-    views are the whole file, chunk views at p = 0.05 a twentieth of it."""
+def _views(kind, n_views, view_len):
+    """A file, the spec of one detector whose views of that file hold
+    view_len tokens, and the views' tokens: rs views are the whole file,
+    chunk views at p = 0.05 a twentieth of it."""
     file_len = view_len if kind == "rs" else 20 * view_len
     rng = np.random.default_rng([n_views, view_len])
     data = rng.integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
     spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
     views = smoothed_views(spec, data)
     assert {v.tokens.size for v in views} == {view_len}
-    return [v.tokens for v in views]
+    return data, spec, [v.tokens for v in views]
 
 
 @pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
@@ -203,14 +204,25 @@ def _view_tokens(kind, n_views, view_len):
 @pytest.mark.parametrize("kind", ["rs", "rca", "sca"])
 def test_score_views_matches_one_forward_scores_call(kind, n_views, length, profile):
     """Blocked scoring gives the bits of one forward_scores call over the
-    whole stack.  At L=100 the long views (6,000 tokens) cross the block
-    budget of both profiles."""
+    whole stack.  So does a prediction, which scores chunk views from the
+    file and their starts with one embedding gather per file (views
+    shorter than the conv window go through the padded stack).  At L=100
+    the long views (6,000 tokens) cross the block budget of both
+    profiles."""
     view_len = {"short": profile.window - 1, "window": profile.window, "long": 6000}[length]
     params = init_params(profile, seed=n_views)
-    tokens = _view_tokens(kind, n_views, view_len)
+    data, spec, tokens = _views(kind, n_views, view_len)
     if length == "long" and n_views == 100:
         assert len(neural.view_blocks(profile, n_views, view_len)) > 2
-    np.testing.assert_array_equal(neural.score_views(params, tokens), forward_scores(params, tokens))
+    want = forward_scores(params, tokens)
+    np.testing.assert_array_equal(neural.score_views(params, tokens), want)
+    scores, starts, g = view_scores(params, spec, data)
+    np.testing.assert_array_equal(scores, want)
+    np.testing.assert_array_equal([c.score for c in predict_smoothed(params, spec, data).per_chunk], want)
+    if kind != "rs":
+        assert g == view_len and starts.size == n_views
+        chunks = neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g)
+        np.testing.assert_array_equal(chunks, want)
 
 
 @pytest.mark.parametrize(

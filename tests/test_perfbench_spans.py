@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chunksmooth import neural, smoothing
+from chunksmooth import attacks, neural, pe, smoothing
 from chunksmooth.ablation import AblationConfig
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -75,3 +75,41 @@ def test_tracer_sees_one_forward_scores_call_per_block():
     assert len(calls) == spans.REPLAY_EVERY
     assert tracer.counts["views"] == 100
     assert len(tracer.replay["embed_gather"]) == len(tracer.replay["gate_pool_head"]) == 1
+
+
+def test_traced_runs_give_the_untraced_outputs():
+    """sca and rca views are scored from the file and their starts, through
+    functions the tracer does not wrap.  With the tracer installed, an sca
+    predict_smoothed, an rca predict and 20 queries of an sca padding
+    oracle give the outputs of untraced runs."""
+    spans = _load_spans()
+    params = neural.init_params(neural.PROFILES["desk"], seed=5)
+    params.fc_b[:] = 5.0  # every view votes malicious: the GA spends its whole budget
+    rng = np.random.default_rng(5)
+    data = rng.integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
+    victim, _ = pe.build_pe(
+        [pe.SectionSpec(name=f".s{i}", content=rng.integers(1, 256, size=3000, dtype=np.uint8).tobytes()) for i in range(3)],
+        file_alignment=512,
+    )
+    sca = smoothing.DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100))
+    rca = smoothing.DetectorSpec(kind="rca", ablation=AblationConfig(scheme="rca", p=0.05, n_views=100))
+    padding = attacks.PaddingConfig(n_pad=2000, ga=attacks.GaConfig(population=4, generations=5, seed=0))
+
+    def run():
+        return (
+            smoothing.predict_smoothed(params, sca, data),
+            smoothing.predict(params, rca, data),
+            attacks.attack_padding(victim, attacks.make_oracle(params, sca), padding),
+        )
+
+    want = run()
+    before = _module_attributes(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        got = run()
+    finally:
+        tracer.uninstall()
+    _assert_restored(before)
+    assert got == want
+    assert got[2].queries == tracer.counts["queries"] == 20

@@ -30,15 +30,20 @@ def _sca_spec(n_views=100, p=0.05):
 
 
 def _stub_scores(monkeypatch, scores):
-    """Make every view score fixed, bypassing the model entirely (the
-    stack scorer, whose blocks follow the model's profile, included)."""
+    """Make every view score fixed, bypassing the model entirely (both
+    view scorers, whose blocks follow the model's profile, included)."""
     arr = np.asarray(scores, dtype=np.float64)
 
     def fake(params, token_arrays):
         assert len(token_arrays) == arr.size
         return arr.copy()
 
+    def fake_chunks(params, tokens, starts, g):
+        assert starts.size == arr.size
+        return arr.copy()
+
     monkeypatch.setattr(neural, "score_views", fake)
+    monkeypatch.setattr(neural, "score_chunks", fake_chunks)
 
 
 def _pred_with_votes(monkeypatch, scores, n_views=None, file_len=1000):
@@ -414,7 +419,8 @@ def test_rs_prediction_memory_is_bounded():
     """One rs prediction holds one block of views in the embedding gather
     and the im2col copy, not the whole stack: at desk size, L=100 and
     65,536 bytes, 60 MiB (463 MiB when the stack was scored at once).  sca
-    on the same input is one block and keeps its 23 MiB."""
+    on the same input scores its views from one embedding of the file:
+    14 MiB (23 MiB when it stacked and gathered the views)."""
     params = neural.init_params(DESK, seed=3)
     data = np.random.default_rng(5).integers(0, 256, size=65536, dtype=np.uint8).tobytes()
     rs = DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.05, n_views=100))
