@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural, pe, smoothing
+from . import kernels, neural, pe, smoothing
 from .ablation import AblationConfig, sca_starts
 from .errors import (
     AlignmentUnsatisfiable,
@@ -50,71 +50,92 @@ class DetectorOracle:
         return float(score), label
 
 
-class ViewScores:
-    """Scores of the L sca views of a query, recomputed only for the views
-    whose window covers a byte that changed since the previous query.
+class ColumnScores:
+    """The view scores of each query, recomputing only the conv columns
+    whose window covers a byte that changed since the previous query (the
+    sparse max-pool recomputation of Raff et al. 2021).  cfg is an sca
+    AblationConfig, or None for ns: one view of the whole file.
 
-    A view's score depends only on its own bytes, so the result is bitwise
-    that of scoring every view afresh (neural.score_chunks).  Rescoring
-    takes at least neural.MIN_RESCORE_COLUMNS conv columns of views (or
-    all of them), so the rescored views run on the full stack's GEMM
-    kernel.  Holds one query of state: its bytes and its scores.  A query
-    of another length has other windows and is scored afresh.
+    A cell is one (view, column) pair, with its window at start + stride*k.
+    The state is the previous query's bytes, its embedding and the gated
+    (cells, f) values.  A query of the same length re-embeds the changed
+    bytes, recomputes the changed cells (at least MIN_RESCORE_COLUMNS, or
+    all, so every GEMM runs on the full stack's kernel), and max-pools and
+    heads the views holding one; the max is exact, so every score is
+    bitwise a fresh prediction's.  A query of another length is scored
+    afresh; ns files and sca views shorter than the conv window are padded
+    and go through predict_plain and score_chunks, without state.
     """
 
-    def __init__(self, params, cfg: AblationConfig):
+    def __init__(self, params, cfg: AblationConfig | None):
         self.params = params
         self.cfg = cfg
         self._bytes = None
-        self._scores = None
 
     def __call__(self, data: bytes) -> np.ndarray:
+        p = self.params
+        pr = p.profile
         new = np.frombuffer(data, dtype=np.uint8)
-        starts, g = sca_starts(new.size, self.cfg)
-        prev, scores = self._bytes, self._scores
-        if prev is None or prev.size != new.size:
-            scores = neural.score_chunks(self.params, new, starts, g)
+        starts, g = (np.zeros(1, np.int64), new.size) if self.cfg is None else sca_starts(new.size, self.cfg)
+        if g < pr.window:
+            self._bytes = None
+            if self.cfg is None:
+                return np.array([smoothing.predict_plain(p, data).score])
+            return neural.score_chunks(p, new, starts, g)
+        if self._bytes is None or self._bytes.size != new.size:
+            self._xt = neural.embed(p, new).T  # (e, l), the array embed lays out
+            self._pos = (starts[:, None] + pr.stride * np.arange(neural.view_columns(pr, g))).ravel()
+            self._gated = np.empty((self._pos.size, pr.n_filters), dtype=p.dtype)
+            self._scores = np.empty(starts.size)
+            changed = np.ones(self._pos.size, dtype=bool)
         else:
-            diffs = np.zeros(new.size + 1, dtype=np.int64)
-            np.cumsum(new != prev, out=diffs[1:])
-            changed = diffs[starts + g] > diffs[starts]  # the window covers a changed byte
-            n_changed = int(np.count_nonzero(changed))
-            if n_changed:
-                columns = neural.view_columns(self.params.profile, g)
-                short = min(starts.size, -(-neural.MIN_RESCORE_COLUMNS // columns)) - n_changed
-                if short > 0:
-                    changed[np.flatnonzero(~changed)[:short]] = True
-                scores = scores.copy()
-                scores[changed] = neural.score_chunks(self.params, new, starts[changed], g)
-        self._bytes, self._scores = new, scores
-        return scores
+            at = np.flatnonzero(new != self._bytes)
+            if not at.size:
+                return self._scores.copy()
+            # cs(x), the number of changed bytes before x, is searchsorted(at, x):
+            # the cell's window covers a changed byte when cs(pos + window) > cs(pos)
+            changed = np.searchsorted(at, self._pos + pr.window) > np.searchsorted(at, self._pos)
+            short = min(changed.size, neural.MIN_RESCORE_COLUMNS) - int(np.count_nonzero(changed))
+            if short > 0:
+                changed[np.flatnonzero(~changed)[:short]] = True
+            self._xt[:, at] = neural.embed(p, new[at]).T
+        self._bytes = new
+        cells = np.flatnonzero(changed)
+        bounds = neural.view_blocks(pr, cells.size, pr.window)  # one-column views, one GEMM per block
+        for lo, hi in zip(bounds, bounds[1:]):
+            a, b = kernels.conv_pair_views(
+                self._xt.T, self._pos[cells[lo:hi]], pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride
+            )
+            self._gated[cells[lo:hi]] = neural.gate(a[:, 0], b[:, 0])
+        views = changed.reshape(starts.size, -1).any(axis=1)
+        h = self._gated.reshape(starts.size, -1, pr.n_filters)[views].max(axis=1)
+        if self.cfg is None:
+            self._scores[views] = neural.plain_head(p, h[0])
+        else:
+            self._scores[views] = neural.view_heads(p, h)
+        return self._scores.copy()
 
 
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
-    """Maliciousness score plus label. For vote detectors the score is the
-    malicious vote share, with the same results as predict_smoothed.  sca
-    rescores only the views whose bytes changed since the previous query
-    (ViewScores).  rca and rs draw their views from the query's content
-    (smoothing.content_rng), so any edit redraws every view: they score
-    each query afresh and keep no state."""
-
-    if spec.kind == "ns":
-
-        def fn(data: bytes):
-            pred = smoothing.predict_plain(params, data)
-            return pred.score, pred.label
-
+    """Maliciousness score plus label, with the results of predict_plain
+    (ns) and predict_smoothed; for vote detectors the score is the
+    malicious vote share.  ns and sca rescore only the conv columns whose
+    bytes changed since the previous query (ColumnScores).  rca and rs
+    draw their views from the query's content (smoothing.content_rng), so
+    any edit redraws every view: they score each query afresh and keep no
+    state."""
+    if spec.kind in ("ns", "sca"):
+        scores_of = ColumnScores(params, spec.ablation)
     else:
-        if spec.kind == "sca":
-            scores_of = ViewScores(params, spec.ablation)
-        else:
 
-            def scores_of(data: bytes):
-                return smoothing.view_scores(params, spec, data)[0]
+        def scores_of(data: bytes):
+            return smoothing.view_scores(params, spec, data)[0]
 
-        def fn(data: bytes):
-            _, probabilities, label = smoothing.tally_votes(scores_of(data))
-            return probabilities[LABEL_MALICIOUS], label
+    def fn(data: bytes):
+        scores = scores_of(data)
+        # ns is one view, whose vote is predict_plain's label
+        _, probabilities, label = smoothing.tally_votes(scores)
+        return (scores[0] if spec.kind == "ns" else probabilities[LABEL_MALICIOUS]), label
 
     return DetectorOracle(fn)
 
@@ -461,8 +482,9 @@ def attack_caves(data: bytes, oracle, cfg: CavesConfig) -> AttackResult:
 
     n_slots = len(slots)
     budget_total = int(cfg.size_cap * len(data)) - len(data)
-    per_slot_max = cfg.max_units_per_cave * unit
-    genome_len = n_slots + n_slots * per_slot_max
+    # one unit-count gene per slot, then the payload of every slot back to
+    # back: all of them together never exceed the budget
+    genome_len = n_slots + min(n_slots * cfg.max_units_per_cave * unit, budget_total // unit * unit)
 
     def extensions(genome: np.ndarray) -> list[int]:
         left = budget_total
@@ -480,11 +502,10 @@ def attack_caves(data: bytes, oracle, cfg: CavesConfig) -> AttackResult:
         spans = []
         prev = 0
         shift = 0
-        for i, (pos, ext) in enumerate(zip(slots, exts)):
+        for pos, ext in zip(slots, exts):
             pieces.append(data[prev:pos])
             if ext:
-                base = n_slots + i * per_slot_max
-                pieces.append(genome[base : base + ext].tobytes())
+                pieces.append(genome[n_slots + shift : n_slots + shift + ext].tobytes())
                 spans.append((pos + shift, pos + shift + ext))
             shift += ext
             prev = pos

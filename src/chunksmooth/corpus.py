@@ -226,8 +226,9 @@ def _malicious_body(rng: np.random.Generator, length: int, noise_fraction: float
 
 def _texture_row(rng: np.random.Generator, lead: np.ndarray, noise_fraction: float) -> bytes:
     """One 64-byte body row: a 16-byte lead, then a 4-byte pattern twelve times."""
-    pattern = rng.integers(0x20, 0x40, size=4, dtype=np.uint8)
-    row = np.concatenate([lead, np.tile(pattern, 12)])
+    row = np.empty(64, dtype=np.uint8)
+    row[16:].reshape(12, 4)[:] = rng.integers(0x20, 0x40, size=4, dtype=np.uint8)
+    row[:16] = lead
     if noise_fraction > 0.0:
         mask = rng.random(row.shape) < noise_fraction
         row[mask] = rng.integers(0, 256, size=int(mask.sum()), dtype=np.uint8)

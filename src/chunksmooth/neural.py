@@ -167,8 +167,6 @@ def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
     best_j = np.argmax(gated, axis=0)
     idx = np.arange(pr.n_filters)
     h = gated[best_j, idx]
-    logit = float(params.fc_w @ h) + float(params.fc_b[0])
-    score = min(max(_sigmoid_scalar(logit), _SCORE_EPS), 1.0 - _SCORE_EPS)
     return ForwardCache(
         tokens=toks,
         x=x,
@@ -176,19 +174,33 @@ def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
         a_star=a[best_j, idx],
         gate_star=gate[best_j, idx],
         h=h,
-        score=score,
+        score=plain_head(params, h),
     )
+
+
+def plain_head(params: MalConvParams, h: np.ndarray) -> float:
+    """The score of one pooled vector h (f,): the head of forward."""
+    logit = float(params.fc_w @ h) + float(params.fc_b[0])
+    return min(max(_sigmoid_scalar(logit), _SCORE_EPS), 1.0 - _SCORE_EPS)
+
+
+def gate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gated activations of conv pre-activations, element by element."""
+    return a * _sigmoid(b)
+
+
+def view_heads(params: MalConvParams, h: np.ndarray) -> np.ndarray:
+    """The scores of n views' pooled vectors h (n, f).  A per-row
+    reduction, not a gemv: gemv bits depend on the batch size, and a
+    view's score must depend on its own tokens only."""
+    logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
+    return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
 def _pooled_scores(params: MalConvParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gate, max-pool and head of a stack of views' pre-activations
     (n, j, f) -> n scores."""
-    gated = a * _sigmoid(b)
-    h = gated.max(axis=1)  # (n, f)
-    # a per-row reduction, not a gemv: gemv bits depend on the batch size,
-    # and a view's score must depend on its own tokens only
-    logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
-    return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
+    return view_heads(params, gate(a, b).max(axis=1))
 
 
 def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.ndarray:
@@ -213,8 +225,9 @@ BLOCK_ELEMENTS = 1 << 22
 # BLAS runs small GEMMs through other kernels than a full view stack's
 # GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
 # desk size, for any batch of up to 37 conv columns.  Every GEMM over part
-# of a stack (a block, a set of rescored views) holds at least this many
-# conv columns, or the whole stack, so it runs on the full stack's kernel.
+# of a stack (a block, a set of rescored conv columns) holds at least this
+# many conv columns, or the whole stack, so it runs on the full stack's
+# kernel.
 MIN_RESCORE_COLUMNS = 64
 
 

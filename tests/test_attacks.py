@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from _oracles import bytes_match_outside, insertion_recovers, padding_recovers
-from chunksmooth import attacks, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig, make_views, sca_windows, windows_touching
+from chunksmooth import attacks, kernels, neural, pe, smoothing
+from chunksmooth.ablation import AblationConfig, make_views, sca_starts, sca_windows, windows_touching
 from chunksmooth.attacks import (
     CavesConfig,
     DetectorOracle,
@@ -201,17 +201,18 @@ def _edit_views(data, g, rows, rng):
 
 @pytest.mark.parametrize("columns", [1, 2, 5, 19, 33])
 def test_view_scores_rescoring_matches_full_stack(columns):
-    """For change masks of every size, rescoring only the views whose
-    window covers a changed byte gives the scores of the whole stack,
-    bitwise.  At L=20 and p=0.05 the windows tile the file, so editing one
-    byte in each of k windows changes exactly k views."""
+    """For change masks of every size, rescoring only the conv columns
+    whose window covers a changed byte gives the scores of the whole
+    stack, bitwise.  At L=20 and p=0.05 the windows tile the file, so
+    editing one byte in each of k windows changes exactly k views, and
+    one column of each."""
     params = neural.init_params(neural.PROFILES["desk"], seed=21)
     rng = np.random.default_rng(columns)
     L, g = 20, 64 * columns + 7
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=L)
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert [w.start for w in sca_windows(len(data), cfg)] == [i * g for i in range(L)]
-    scores = attacks.ViewScores(params, cfg)
+    scores = attacks.ColumnScores(params, cfg)
     np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
     for k in list(range(1, L + 1)) * 2:
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
@@ -232,39 +233,63 @@ def test_view_scores_rescoring_matches_full_stack_across_blocks():
     cfg = AblationConfig(scheme="sca", p=0.01, n_views=L)
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert neural.view_blocks(params.profile, L, g) == [0, 88, 100]
-    scores = attacks.ViewScores(params, cfg)
+    scores = attacks.ColumnScores(params, cfg)
     np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
     for k in (1, 12, 50, 89, 100):
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
         np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
 
 
-def _rescored_starts(monkeypatch):
-    """Record the starts of every score_chunks call."""
+def _rescored_cells(monkeypatch):
+    """Record the window starts of every conv_pair_views call: one list
+    per GEMM."""
     seen = []
-    score_chunks = neural.score_chunks
+    conv_pair_views = kernels.conv_pair_views
 
-    def recording(params, tokens, starts, g):
+    def recording(x, starts, *args):
         seen.append(starts.tolist())
-        return score_chunks(params, tokens, starts, g)
+        return conv_pair_views(x, starts, *args)
 
-    monkeypatch.setattr(neural, "score_chunks", recording)
+    monkeypatch.setattr(kernels, "conv_pair_views", recording)
     return seen
+
+
+def _cells(profile, starts, g):
+    """Window start of every (view, column) cell, view-major."""
+    columns = neural.view_columns(profile, g)
+    return [s + profile.stride * k for s in starts for k in range(columns)]
+
+
+def _touching_cells(cells, window, runs):
+    """Indices of the cells whose window [c, c+window) meets one of runs."""
+    return [i for i, c in enumerate(cells) if any(c < b and c + window > a for a, b in runs)]
+
+
+def _padded(cells, touched):
+    """touched, padded with the first other cells up to MIN_RESCORE_COLUMNS."""
+    pad = neural.MIN_RESCORE_COLUMNS - len(touched)
+    if pad <= 0:
+        return touched
+    return sorted(touched + [i for i in range(len(cells)) if i not in touched][:pad])
 
 
 def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
     """Two disjoint edited runs in a file whose L=100 windows overlap: the
-    views rescored are the windows touching either run, and the scores are
-    bitwise those of a fresh score.  A query equal to the previous one
-    rescores nothing."""
+    cells rescored, in one GEMM, are the (view, column) windows touching
+    either run, padded to MIN_RESCORE_COLUMNS cells when there are fewer,
+    and the scores are bitwise those of a fresh score.  A query equal to
+    the previous one rescores nothing."""
     params = neural.init_params(neural.PROFILES["desk"], seed=23)
+    pr = params.profile
     rng = np.random.default_rng(23)
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
     data = rng.integers(0, 256, size=40_000, dtype=np.uint8).tobytes()
     windows = sca_windows(len(data), cfg)
-    scores = attacks.ViewScores(params, cfg)
-    seen = _rescored_starts(monkeypatch)
+    cells = _cells(pr, [w.start for w in windows], windows[0].length)
+    scores = attacks.ColumnScores(params, cfg)
+    seen = _rescored_cells(monkeypatch)
     scores(data)
+    padded = 0
     for runs in (((3000, 3010), (31_000, 31_500)), ((0, 400), (39_600, 40_000)), ((10_000, 10_001), (20_000, 20_002))):
         edited = bytearray(data)
         for a, b in runs:
@@ -273,9 +298,12 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
         seen.clear()
         got = scores(data)
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
-        touched = sorted(set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1])))
-        assert len(touched) * neural.view_columns(params.profile, windows[0].length) >= neural.MIN_RESCORE_COLUMNS
-        assert seen == [[windows[i].start for i in touched]]
+        touched = _touching_cells(cells, pr.window, runs)
+        views = set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1]))
+        assert {i // neural.view_columns(pr, windows[0].length) for i in touched} <= views
+        assert seen == [[cells[i] for i in _padded(cells, touched)]]
+        padded += len(touched) < neural.MIN_RESCORE_COLUMNS
+    assert padded  # at least one edit touched fewer cells than the floor
     seen.clear()
     np.testing.assert_array_equal(scores(data), got)
     assert seen == []
@@ -288,9 +316,55 @@ def test_view_scores_scores_a_query_of_another_length_afresh():
     rng = np.random.default_rng(24)
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
     data = rng.integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
-    scores = attacks.ViewScores(params, cfg)
+    scores = attacks.ColumnScores(params, cfg)
     for query in (data, data + bytes(64), data[:-1] + b"x", data[:5000], data):
         np.testing.assert_array_equal(scores(query), _fresh_scores(params, cfg, query))
+
+
+def _fresh_view_scores(params, spec, data):
+    """The view scores of data as the fresh predictions give them: ns's
+    predict_plain score, or sca's view_scores."""
+    if spec.kind == "ns":
+        return np.array([smoothing.predict_plain(params, data).score])
+    return smoothing.view_scores(params, spec, data)[0]
+
+
+def _spec(kind):
+    if kind == "ns":
+        return smoothing.DetectorSpec(kind="ns")
+    return smoothing.DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100))
+
+
+@pytest.mark.parametrize("profile", ["desk", "original"])
+@pytest.mark.parametrize("kind", ["ns", "sca"])
+def test_column_scores_match_fresh_predictions_query_by_query(monkeypatch, kind, profile):
+    """The first query, an unchanged one, a one-byte edit (one conv column
+    per covering view, so the floor pads the rescored set), an edit of
+    many columns, a change of length, a file too short for a stateful
+    score, and a return to the first length: every score is bitwise the
+    fresh prediction's, and every GEMM holds MIN_RESCORE_COLUMNS cells or
+    all of them."""
+    params = neural.init_params(neural.PROFILES[profile], seed=25)
+    pr = params.profile
+    spec = _spec(kind)
+    rng = np.random.default_rng(25)
+    data = rng.integers(0, 256, size=60_000, dtype=np.uint8).tobytes()
+    one_byte = data[:30_000] + bytes([(data[30_000] + 1) % 256]) + data[30_001:]
+    many = bytes(rng.integers(0, 256, size=20_000, dtype=np.uint8)) + one_byte[20_000:]
+    short = data[: pr.window - 1] if kind == "ns" else data[: 20 * (pr.window - 1)]  # g = window - 1 at p=0.05
+    assert kind == "ns" or sca_starts(len(short), spec.ablation)[1] == pr.window - 1
+    scores = attacks.ColumnScores(params, spec.ablation)
+    seen = _rescored_cells(monkeypatch)
+    for i, query in enumerate((data, data, one_byte, many, data + bytes(7), short, data)):
+        seen.clear()
+        got = scores(query)
+        gemms = [len(s) for s in seen]
+        np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
+        if i == 1:
+            assert gemms == []
+        if i == 2:
+            assert gemms == [neural.MIN_RESCORE_COLUMNS]
+        assert all(n >= neural.MIN_RESCORE_COLUMNS for n in gemms)
 
 
 def _big_victim():
@@ -303,21 +377,38 @@ def _big_victim():
     return pe.build_pe(specs, file_alignment=512)
 
 
+@pytest.mark.parametrize("profile", ["desk", "original"])
+@pytest.mark.parametrize("kind", ["ns", "sca"])
 @pytest.mark.parametrize("victim", [_victim, _big_victim])
-def test_rescoring_oracle_attacks_match_predict_smoothed(victim):
+def test_column_scores_match_fresh_predictions_over_ga_runs(kind, profile, victim):
+    """Every query of padding and shift GA runs, at two file sizes and on
+    both profiles, scores bitwise as a fresh prediction does."""
+    params = neural.init_params(neural.PROFILES[profile], seed=26)
+    params.fc_b[:] = 5.0  # every view votes malicious: the GA spends its whole budget
+    spec = _spec(kind)
+    data, _ = victim()
+    ga = _tiny_ga(population=6, generations=4, seed=4)
+    for attack, cfg in (
+        (attack_padding, PaddingConfig(n_pad=2000, ga=ga)),
+        (attack_shift, ShiftConfig(extension=1024, ga=ga)),
+    ):
+        scores = attacks.ColumnScores(params, spec.ablation)
+        checked = []
+
+        def fn(query):
+            got = scores(query)
+            np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
+            checked.append(query)
+            return MAL
+
+        attack(data, DetectorOracle(fn), cfg)
+        assert len(checked) == 24
+
+
+def _campaigns_match(params, spec, fresh, victim):
     """Padding and shift campaigns give the same results through the
-    rescoring oracle as through one that predicts every query afresh."""
-    params = neural.init_params(neural.PROFILES["desk"], seed=22)
-    params.fc_b[:] = 0.15  # nearly every view votes malicious: the GA spends its whole budget
-    spec = smoothing.DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=100))
-
-    def fresh_oracle():
-        def fn(data):
-            pred = smoothing.predict_smoothed(params, spec, data)
-            return pred.probabilities[LABEL_MALICIOUS], pred.label
-
-        return DetectorOracle(fn)
-
+    rescoring oracle as through one that predicts every query afresh
+    with fresh(data) -> (score, label)."""
     data, _ = victim()
     ga = _tiny_ga(population=6, generations=4, seed=3)
     for attack, cfg in (
@@ -326,10 +417,37 @@ def test_rescoring_oracle_attacks_match_predict_smoothed(victim):
     ):
         rescoring = make_oracle(params, spec)
         got = attack(data, rescoring, cfg)
-        want = attack(data, fresh_oracle(), cfg)
+        want = attack(data, DetectorOracle(fresh), cfg)
         assert got == want
         assert not got.evaded
         assert rescoring.query_count == got.queries
+
+
+@pytest.mark.parametrize("victim", [_victim, _big_victim])
+def test_rescoring_oracle_attacks_match_predict_smoothed(victim):
+    """The sca oracle's campaigns are those of predict_smoothed."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=22)
+    params.fc_b[:] = 0.15  # nearly every view votes malicious: the GA spends its whole budget
+    spec = _spec("sca")
+
+    def fresh(data):
+        pred = smoothing.predict_smoothed(params, spec, data)
+        return pred.probabilities[LABEL_MALICIOUS], pred.label
+
+    _campaigns_match(params, spec, fresh, victim)
+
+
+@pytest.mark.parametrize("victim", [_victim, _big_victim])
+def test_rescoring_oracle_attacks_match_predict_plain(victim):
+    """The ns oracle's campaigns are those of predict_plain."""
+    params = neural.init_params(neural.PROFILES["desk"], seed=22)
+    params.fc_b[:] = 5.0  # the plain score stays malicious: the GA spends its whole budget
+
+    def fresh(data):
+        pred = smoothing.predict_plain(params, data)
+        return pred.score, pred.label
+
+    _campaigns_match(params, _spec("ns"), fresh, victim)
 
 
 # -- padding -----------------------------------------------------------------------
@@ -561,6 +679,38 @@ def test_attacks_refuse_file_alignment_above_64k():
     # the maximum itself is accepted
     res = attack_shift(_with_file_alignment(data, 0x10000), _hostile_oracle(), ShiftConfig(extension=16, ga=ga))
     assert [e - s for s, e in res.payload_spans] == [0x10000]
+
+
+def test_caves_genome_is_sized_by_the_budget(monkeypatch):
+    """The caves genome holds one gene per slot plus at most the growth
+    budget, rounded down to whole units: a 1,536-byte file at the 64 KiB
+    FileAlignment maximum gets no payload genes, where sizing by
+    max_units_per_cave alone would give it over a million.  Under the
+    budget, every slot can still take max_units_per_cave units."""
+    lengths = []
+    ga_optimize = attacks.ga_optimize
+
+    def recording(oracle, genome_len, build, cfg):
+        lengths.append(genome_len)
+        return ga_optimize(oracle, genome_len, build, cfg)
+
+    monkeypatch.setattr(attacks, "ga_optimize", recording)
+    data, _ = _victim(n_sections=1, cave=True)
+    n_slots = len(pe.parse_pe(data).code_caves)
+    assert len(data) == 1536 and n_slots >= 1
+    ga = _tiny_ga(population=2, generations=1)
+    for alignment, size_cap, units, payload in (
+        (0x10000, 2.0, 8, 0),  # budget 1,536 bytes: not one unit
+        (512, 2.0, 8, 1536),  # budget 1,536 bytes: three units
+        (512, 10.0, 2, n_slots * 2 * 512),  # budget 13,824 bytes: two units per slot
+    ):
+        lengths.clear()
+        res = attack_caves(
+            _with_file_alignment(data, alignment), _hostile_oracle(),
+            CavesConfig(max_units_per_cave=units, size_cap=size_cap, ga=ga),
+        )
+        assert lengths == [n_slots + payload]
+        assert len(res.adversarial) <= size_cap * len(data)
 
 
 # -- cross-cutting ------------------------------------------------------------------------

@@ -78,10 +78,11 @@ def test_tracer_sees_one_forward_scores_call_per_block():
 
 
 def test_traced_runs_give_the_untraced_outputs():
-    """sca and rca views are scored from the file and their starts, through
+    """sca and rca views are scored from the file and their starts, and
+    ns and sca oracle queries from the conv columns they change, through
     functions the tracer does not wrap.  With the tracer installed, an sca
-    predict_smoothed, an rca predict and 20 queries of an sca padding
-    oracle give the outputs of untraced runs."""
+    predict_smoothed, an rca predict and 20 queries each of an sca and an
+    ns padding oracle give the outputs of untraced runs."""
     spans = _load_spans()
     params = neural.init_params(neural.PROFILES["desk"], seed=5)
     params.fc_b[:] = 5.0  # every view votes malicious: the GA spends its whole budget
@@ -100,6 +101,7 @@ def test_traced_runs_give_the_untraced_outputs():
             smoothing.predict_smoothed(params, sca, data),
             smoothing.predict(params, rca, data),
             attacks.attack_padding(victim, attacks.make_oracle(params, sca), padding),
+            attacks.attack_padding(victim, attacks.make_oracle(params, smoothing.DetectorSpec(kind="ns")), padding),
         )
 
     want = run()
@@ -112,4 +114,5 @@ def test_traced_runs_give_the_untraced_outputs():
         tracer.uninstall()
     _assert_restored(before)
     assert got == want
-    assert got[2].queries == tracer.counts["queries"] == 20
+    assert got[2].queries == got[3].queries == 20
+    assert tracer.counts["queries"] == 40
