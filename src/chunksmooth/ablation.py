@@ -20,10 +20,11 @@ conv window to that window, so a view stack is always rectangular.
 
 A chunk scheme's views are an int64 array of starts plus their common
 length g (sca_starts, rca_starts).  Inference scores them straight from
-the file and the starts (neural.score_chunks), and attack oracles find
-the views an edit touched from the starts; sca_windows, rca_windows and
-make_views wrap the starts into ChunkWindow and AblatedView objects for
-callers that need one record per view.
+the file and the starts (neural.score_chunks), attack oracles find the
+conv columns an edit touched from the starts, and certify_inplace counts
+the windows a region touches from them (count_touching).  rs views have no
+starts: they are rows of one int32 token array (make_views), drawn and
+scored one block of views at a time.
 
 The placement in the published pseudocode for the evenly spaced sampler
 is not offered.  Its formulas are internally inconsistent: the stride
@@ -75,19 +76,6 @@ class AblationConfig:
             raise ConfigInvalid(f"n_views must be in [1, {MAX_VIEWS}], got {self.n_views}")
 
 
-@dataclass(frozen=True)
-class AblatedView:
-    """One reduced view, ready for the model: int32 tokens in [0, 256].
-
-    Chunk views carry their window and tokens equal to the raw bytes of
-    that window; rs views have window None and full-length tokens with
-    masked positions set to ABLATE_TOKEN.
-    """
-
-    window: ChunkWindow | None
-    tokens: np.ndarray
-
-
 def chunk_length(file_len: int, p: float) -> int:
     """ceil(file_len * p), clamped to [1, file_len].
 
@@ -125,54 +113,34 @@ def sca_starts(file_len: int, cfg: AblationConfig) -> tuple[np.ndarray, int]:
     return np.arange(L, dtype=np.int64) * (file_len - g) // (L - 1), g
 
 
-def _windows(starts: np.ndarray, g: int) -> list[ChunkWindow]:
-    return [ChunkWindow(s, s + g) for s in starts.tolist()]
-
-
-def rca_windows(file_len: int, cfg: AblationConfig, rng: np.random.Generator) -> list[ChunkWindow]:
-    return _windows(*rca_starts(file_len, cfg, rng))
-
-
-def sca_windows(file_len: int, cfg: AblationConfig) -> list[ChunkWindow]:
-    return _windows(*sca_starts(file_len, cfg))
-
-
 def rs_tokens(data: bytes, cfg: AblationConfig, rng: np.random.Generator) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
     keep = rng.random(len(data)) < cfg.p
     return np.where(keep, raw, np.int32(ABLATE_TOKEN))
 
 
-def window_tokens(data: bytes, window: ChunkWindow) -> np.ndarray:
-    return np.frombuffer(data, dtype=np.uint8, count=window.length, offset=window.start).astype(
-        np.int32
-    )
-
-
-def make_views(data: bytes, cfg: AblationConfig, rng: np.random.Generator | None = None) -> list[AblatedView]:
-    """Build the L inference views for one file under cfg.
+def make_views(data: bytes, cfg: AblationConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+    """The L inference views of one file under cfg, as one (L, t) int32
+    array: t = g bytes per chunk view, the whole file per rs view.
 
     rca and rs consume the rng (pass one derived from (cfg.seed, file));
-    sca ignores it and is a pure function of (len(data), cfg).
+    sca ignores it and is a pure function of (len(data), cfg).  rs draws one
+    rs_tokens mask per view, in view order, so consecutive calls on one rng
+    with n_views = L_1, ..., L_n give the rows of one call with their sum.
     """
-    file_len = len(data)
     if cfg.scheme == "sca":
-        windows = sca_windows(file_len, cfg)
+        starts, g = sca_starts(len(data), cfg)
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
         if cfg.scheme == "rs":
-            return [AblatedView(None, rs_tokens(data, cfg, rng)) for _ in range(cfg.n_views)]
-        windows = rca_windows(file_len, cfg, rng)
-    return [AblatedView(w, window_tokens(data, w)) for w in windows]
-
-
-def windows_touching(windows: list[ChunkWindow], region: tuple[int, int]) -> list[int]:
-    """Indices of windows with a non-empty intersection with [region)."""
-    a, b = region
-    if b <= a:
-        return []
-    return [i for i, w in enumerate(windows) if w.start < b and w.end > a]
+            views = np.empty((cfg.n_views, len(data)), dtype=np.int32)
+            for view in views:
+                view[:] = rs_tokens(data, cfg, rng)
+            return views
+        starts, g = rca_starts(len(data), cfg, rng)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(raw, g)[starts].astype(np.int32)
 
 
 def count_touching(starts: np.ndarray, g: int, region: tuple[int, int]) -> int:

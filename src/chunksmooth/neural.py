@@ -203,15 +203,19 @@ def _pooled_scores(params: MalConvParams, a: np.ndarray, b: np.ndarray) -> np.nd
     return view_heads(params, gate(a, b).max(axis=1))
 
 
-def forward_scores(params: MalConvParams, token_arrays: list[np.ndarray]) -> np.ndarray:
-    """Scores for many views of one length, in one batched conv call.
-
-    Every ablation scheme yields views of one length (see ablation.py);
-    views shorter than the conv window are right-padded to it.
-    token_arrays may also be a 2-D stack of views."""
+def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
+    """Scores of a 2-D stack of views (n, t) of one length, in one batched
+    conv call.  Views shorter than the conv window are right-padded to it
+    with ABLATE_TOKEN."""
     pr = params.profile
-    # stacked as intp, the index type of np.take, so embed makes no converted copy
-    xs = embed(params, np.stack([_pad_tokens(t, pr.window) for t in token_arrays], dtype=np.intp))
+    n, t = views.shape
+    # padded and converted in one array of intp, the index type of np.take,
+    # so embed makes no converted copy; a uint8 stack (file bytes) is never
+    # padded in its own dtype, where ABLATE_TOKEN would wrap to 0
+    tokens = np.full((n, max(t, pr.window)), ABLATE_TOKEN, dtype=np.intp)
+    tokens[:, :t] = views
+    xs = embed(params, tokens)
+    del tokens  # not live during the GEMM
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
     return _pooled_scores(params, a, b)
 
@@ -254,13 +258,17 @@ def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]
     return bounds + [n_views]
 
 
-def score_views(params: MalConvParams, token_arrays) -> np.ndarray:
-    """forward_scores of a stack of views of one length, one block at a
-    time (view_blocks); bitwise the scores of one call on the whole stack,
-    since a view's score depends on its own tokens only and every block
-    runs on the whole stack's GEMM kernel."""
-    bounds = view_blocks(params.profile, len(token_arrays), len(token_arrays[0]))
-    return np.concatenate([forward_scores(params, token_arrays[a:b]) for a, b in zip(bounds, bounds[1:])])
+def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> np.ndarray:
+    """Scores of n_views views of n_tokens tokens, one forward_scores call
+    per block (view_blocks).  rows(a, b) returns views [a, b) as a 2-D
+    stack and is called once per block, for consecutive blocks in order, so
+    only one block of views need exist at a time.
+
+    Bitwise the scores of one forward_scores call on the whole stack, since
+    a view's score depends on its own tokens only and every block runs on
+    the whole stack's GEMM kernel."""
+    bounds = view_blocks(params.profile, n_views, n_tokens)
+    return np.concatenate([forward_scores(params, rows(a, b)) for a, b in zip(bounds, bounds[1:])])
 
 
 def score_chunks(params: MalConvParams, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
@@ -270,10 +278,12 @@ def score_chunks(params: MalConvParams, tokens: np.ndarray, starts: np.ndarray, 
     The file is embedded once and every block of views (view_blocks, so
     each GEMM has the row count it has in score_views) takes its conv
     columns from that one embedding by start offset.  Views shorter than
-    the conv window are padded, so they go through score_views."""
+    the conv window are padded, so each block of them is gathered from the
+    file and goes through score_views."""
     pr = params.profile
     if g < pr.window:
-        return score_views(params, [tokens[s : s + g] for s in starts])
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
+        return score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]])
     x = embed(params, tokens)
     bounds = view_blocks(pr, starts.size, g)
     return np.concatenate([

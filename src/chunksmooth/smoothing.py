@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import neural
 from .ablation import (
-    AblatedView,
     AblationConfig,
     ChunkWindow,
     count_touching,
@@ -28,7 +27,6 @@ from .ablation import (
     rs_tokens,
     sca_starts,
     training_window,
-    window_tokens,
 )
 from .corpus import (
     LABEL_BENIGN,
@@ -163,39 +161,26 @@ def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     return PlainPrediction(score=score, label=label)
 
 
-def _view_rng(spec: DetectorSpec, data: bytes, rng: np.random.Generator | None) -> np.random.Generator | None:
-    """The rng the views of data draw from: rng if given, else content_rng
-    for rca and rs; sca draws none."""
-    if spec.kind == "ns":
-        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
-    cfg = spec.ablation
-    if rng is None and cfg.scheme != "sca":
-        rng = content_rng(cfg.seed, data)
-    return rng
-
-
-def smoothed_views(
-    spec: DetectorSpec, data: bytes, rng: np.random.Generator | None = None
-) -> list[AblatedView]:
-    """The L views a smoothed detector votes over.  rca and rs draw from
-    content_rng unless given an rng; sca is a pure function of len(data)."""
-    return make_views(data, spec.ablation, _view_rng(spec, data, rng))
-
-
 def view_scores(
     params: neural.MalConvParams,
     spec: DetectorSpec,
     data: bytes,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """The scores of the L views of smoothed_views, with the views' starts
-    and length g.  Chunk views are scored from the file and their starts
-    (neural.score_chunks); rs views, which have no starts (None), as a
-    stack (neural.score_views)."""
-    if spec.kind == "rs":
-        return neural.score_views(params, [v.tokens for v in smoothed_views(spec, data, rng)]), None, len(data)
-    rng = _view_rng(spec, data, rng)
+    """The scores of the L views a smoothed detector votes over, with the
+    views' starts and length g.  rca and rs draw their views from
+    content_rng unless given an rng; sca's are a pure function of
+    len(data).  Chunk views are scored from the file and their starts
+    (neural.score_chunks); rs views, which have no starts (None), are drawn
+    and scored one block at a time (neural.score_views)."""
+    if spec.kind == "ns":
+        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
     cfg = spec.ablation
+    if rng is None and cfg.scheme != "sca":
+        rng = content_rng(cfg.seed, data)
+    if cfg.scheme == "rs":
+        rows = lambda a, b: make_views(data, replace(cfg, n_views=b - a), rng)
+        return neural.score_views(params, cfg.n_views, len(data), rows), None, len(data)
     starts, g = sca_starts(len(data), cfg) if cfg.scheme == "sca" else rca_starts(len(data), cfg, rng)
     return neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g), starts, g
 
@@ -337,11 +322,13 @@ def _load_split(manifest: CorpusManifest, what: str) -> tuple[list[bytes], list[
 def _training_tokens(data: bytes, spec: DetectorSpec, rng: np.random.Generator) -> np.ndarray:
     """One training view. Both chunk schemes train on a single uniformly
     placed chunk; rs trains on one masked view; ns on the whole file."""
+    raw = np.frombuffer(data, dtype=np.uint8)
     if spec.kind == "ns":
-        return np.frombuffer(data, dtype=np.uint8).astype(np.int32)
+        return raw.astype(np.int32)
     if spec.kind == "rs":
         return rs_tokens(data, spec.ablation, rng)
-    return window_tokens(data, training_window(len(data), spec.ablation.p, rng))
+    w = training_window(len(data), spec.ablation.p, rng)
+    return raw[w.start : w.end].astype(np.int32)
 
 
 def _validation_accuracy(

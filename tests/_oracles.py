@@ -183,6 +183,33 @@ def naive_touch_count(windows, region):
     return count
 
 
+def sca_windows(file_len, cfg):
+    """The package's sca placement as a list of ChunkWindow, one per view:
+    the form the window-list checks below take."""
+    from chunksmooth.ablation import ChunkWindow, sca_starts
+
+    starts, g = sca_starts(file_len, cfg)
+    return [ChunkWindow(s, s + g) for s in starts.tolist()]
+
+
+def rca_windows(file_len, cfg, rng):
+    """The package's rca placement as a list of ChunkWindow, one per view."""
+    from chunksmooth.ablation import ChunkWindow, rca_starts
+
+    starts, g = rca_starts(file_len, cfg, rng)
+    return [ChunkWindow(s, s + g) for s in starts.tolist()]
+
+
+def windows_touching(windows, region):
+    """Indices of the windows with a non-empty intersection with [region),
+    by a scan of the list: the reference count_touching is checked
+    against."""
+    a, b = region
+    if b <= a:
+        return []
+    return [i for i, w in enumerate(windows) if w.start < b and w.end > a]
+
+
 def naive_zero_runs(data):
     """O(l) scan for maximal zero runs, returned as [(start, end)]."""
     runs = []

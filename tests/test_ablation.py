@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_touch_count
+from _oracles import naive_touch_count, rca_windows, sca_windows, windows_touching
 from chunksmooth.ablation import (
     ABLATE_TOKEN,
     MAX_VIEWS,
@@ -18,15 +18,12 @@ from chunksmooth.ablation import (
     count_touching,
     make_views,
     rca_starts,
-    rca_windows,
     rs_tokens,
     sca_starts,
-    sca_windows,
     training_window,
-    window_tokens,
-    windows_touching,
 )
 from chunksmooth.errors import ConfigInvalid
+from chunksmooth.smoothing import DetectorSpec, _training_tokens
 
 
 def _sca_cfg(n_views=100, p=0.05, **kw):
@@ -154,7 +151,7 @@ def test_sca_is_deterministic_and_ignores_rng():
     data = bytes(range(256)) * 10
     v1 = make_views(data, cfg, np.random.default_rng(1))
     v2 = make_views(data, cfg, np.random.default_rng(999))
-    assert [v.window for v in v1] == [v.window for v in v2]
+    np.testing.assert_array_equal(v1, v2)
 
 
 def test_sca_single_view():
@@ -207,23 +204,23 @@ def test_make_views_chunk_payloads_match_file_bytes():
     for scheme in ("rca", "sca"):
         cfg = AblationConfig(scheme=scheme, p=0.05, n_views=25)
         views = make_views(data, cfg, np.random.default_rng(2))
-        assert len(views) == 25
-        for v in views:
-            assert v.window is not None
-            expect = np.frombuffer(data[v.window.start : v.window.end], dtype=np.uint8)
-            np.testing.assert_array_equal(v.tokens, expect.astype(np.int32))
+        if scheme == "sca":
+            windows = sca_windows(len(data), cfg)
+        else:
+            windows = rca_windows(len(data), cfg, np.random.default_rng(2))
+        assert views.shape == (25, chunk_length(len(data), 0.05)) and views.dtype == np.int32
+        for row, w in zip(views, windows):
+            expect = np.frombuffer(data[w.start : w.end], dtype=np.uint8)
+            np.testing.assert_array_equal(row, expect.astype(np.int32))
 
 
 def test_make_views_rs_has_no_window():
     data = bytes(range(100))
     cfg = AblationConfig(scheme="rs", p=0.5, n_views=7)
     views = make_views(data, cfg, np.random.default_rng(0))
-    assert len(views) == 7
-    for v in views:
-        assert v.window is None
-        assert len(v.tokens) == 100
+    assert views.shape == (7, 100) and views.dtype == np.int32
     # distinct draws across views
-    assert any(not np.array_equal(views[0].tokens, v.tokens) for v in views[1:])
+    assert any(not np.array_equal(views[0], v) for v in views[1:])
 
 
 def test_make_views_default_rng_comes_from_config_seed():
@@ -231,14 +228,20 @@ def test_make_views_default_rng_comes_from_config_seed():
     cfg = AblationConfig(scheme="rca", p=0.1, n_views=5, seed=13)
     v1 = make_views(data, cfg)
     v2 = make_views(data, cfg)
-    assert [v.window for v in v1] == [v.window for v in v2]
+    np.testing.assert_array_equal(v1, v2)
+    np.testing.assert_array_equal(v1, make_views(data, cfg, np.random.default_rng(13)))
 
 
 def test_window_tokens_is_a_view_of_the_right_bytes():
+    """A chunk scheme's training view is the file's bytes in the training
+    window drawn from the same rng, as int32 tokens."""
     data = bytes(range(100))
-    toks = window_tokens(data, ChunkWindow(10, 20))
-    assert toks.tolist() == list(range(10, 20))
-    assert toks.dtype == np.int32
+    for scheme in ("rca", "sca"):
+        spec = DetectorSpec(kind=scheme, ablation=AblationConfig(scheme=scheme, p=0.1, n_views=1))
+        toks = _training_tokens(data, spec, np.random.default_rng(4))
+        w = training_window(100, 0.1, np.random.default_rng(4))
+        assert toks.tolist() == list(range(w.start, w.end))
+        assert toks.dtype == np.int32
 
 
 # -- touch queries ---------------------------------------------------------------------
@@ -311,14 +314,17 @@ def test_windows_always_legal(p, n_views, scheme, data):
     )
     cfg = AblationConfig(scheme=scheme, p=p, n_views=n_views)
     views = make_views(bytes(l), cfg, np.random.default_rng(123))
-    assert len(views) == n_views
     # one length for every view: a view stack is always rectangular
-    assert len({v.tokens.size for v in views}) == 1
+    assert views.ndim == 2 and views.shape[0] == n_views
     if scheme == "rs":
-        assert views[0].tokens.size == l
+        assert views.shape[1] == l
         return
     g = chunk_length(l, p)
-    ws = [v.window for v in views]
+    assert views.shape[1] == g
+    if scheme == "sca":
+        ws = sca_windows(l, cfg)
+    else:
+        ws = rca_windows(l, cfg, np.random.default_rng(123))
     for w in ws:
         assert 0 <= w.start < w.end <= l
         assert w.length == g

@@ -31,10 +31,12 @@ from _oracles import (
     fd_gradient_check,
     insertion_recovers,
     padding_recovers,
+    sca_windows,
     tally_oracle,
+    windows_touching,
 )
 from chunksmooth import attacks, cli, corpus, harness, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig, chunk_length, sca_windows, windows_touching
+from chunksmooth.ablation import AblationConfig, chunk_length
 from chunksmooth.attacks import DetectorOracle, GaConfig
 from chunksmooth.corpus import LABEL_MALICIOUS, SynthConfig, load_capped
 from chunksmooth.harness import CampaignConfig

@@ -9,9 +9,9 @@ byte-exact recovery of the original outside declared edits.
 import numpy as np
 import pytest
 
-from _oracles import bytes_match_outside, insertion_recovers, padding_recovers
+from _oracles import bytes_match_outside, insertion_recovers, padding_recovers, sca_windows, windows_touching
 from chunksmooth import attacks, kernels, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig, make_views, sca_starts, sca_windows, windows_touching
+from chunksmooth.ablation import AblationConfig, make_views, sca_starts
 from chunksmooth.attacks import (
     CavesConfig,
     DetectorOracle,
@@ -187,7 +187,7 @@ def test_make_oracle_matches_direct_predictions():
 def _fresh_scores(params, cfg, data):
     """Every view of data scored afresh, as one forward_scores call on the
     stack of its views."""
-    return neural.forward_scores(params, [v.tokens for v in make_views(data, cfg)])
+    return neural.forward_scores(params, make_views(data, cfg))
 
 
 def _edit_views(data, g, rows, rng):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _oracles import dense_backward, fd_gradient_check, masked_sigmoid, reference_forward
 from chunksmooth import neural
-from chunksmooth.ablation import ABLATE_TOKEN, AblationConfig
+from chunksmooth.ablation import ABLATE_TOKEN, AblationConfig, make_views, rs_tokens
 from chunksmooth.errors import (
     BadMagic,
     ChunkSmoothError,
@@ -34,7 +34,7 @@ from chunksmooth.neural import (
     save_checkpoint,
     train_step,
 )
-from chunksmooth.smoothing import DetectorSpec, predict_smoothed, smoothed_views, view_scores
+from chunksmooth.smoothing import DetectorSpec, content_rng, predict_smoothed, view_scores
 
 DESK = neural.PROFILES["desk"]
 
@@ -122,7 +122,7 @@ def test_appended_window_pools_against_existing_maxima():
 def test_forward_scores_batched_equals_per_view():
     rng = np.random.default_rng(7)
     params = init_params(DESK, seed=7)
-    views = [_tokens(rng, 256) for _ in range(20)]
+    views = np.stack([_tokens(rng, 256) for _ in range(20)])
     batched = forward_scores(params, views)
     single = np.array([forward(params, v).score for v in views])
     np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-7)
@@ -193,9 +193,10 @@ def _views(kind, n_views, view_len):
     rng = np.random.default_rng([n_views, view_len])
     data = rng.integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
     spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
-    views = smoothed_views(spec, data)
-    assert {v.tokens.size for v in views} == {view_len}
-    return data, spec, [v.tokens for v in views]
+    rng = None if kind == "sca" else content_rng(spec.ablation.seed, data)
+    views = make_views(data, spec.ablation, rng)
+    assert views.shape == (n_views, view_len)
+    return data, spec, views
 
 
 @pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
@@ -215,7 +216,8 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     if length == "long" and n_views == 100:
         assert len(neural.view_blocks(profile, n_views, view_len)) > 2
     want = forward_scores(params, tokens)
-    np.testing.assert_array_equal(neural.score_views(params, tokens), want)
+    got = neural.score_views(params, n_views, view_len, lambda a, b: tokens[a:b])
+    np.testing.assert_array_equal(got, want)
     scores, starts, g = view_scores(params, spec, data)
     np.testing.assert_array_equal(scores, want)
     np.testing.assert_array_equal([c.score for c in predict_smoothed(params, spec, data).per_chunk], want)
@@ -240,14 +242,46 @@ def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens
     want = forward_scores(params, stack)
     calls = []
 
-    def counted(p, token_arrays):
-        calls.append(len(token_arrays))
-        return forward_scores(p, token_arrays)
+    def counted(p, views):
+        calls.append(len(views))
+        return forward_scores(p, views)
 
     monkeypatch.setattr(neural, "forward_scores", counted)
-    got = neural.score_views(params, stack)
+    got = neural.score_views(params, n_views, n_tokens, lambda a, b: stack[a:b])
     assert calls == blocks
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "profile, n_views, file_len", [(DESK, 100, 20_000), (ORIGINAL, 60, 20_000)], ids=["desk", "original"]
+)
+def test_rs_views_are_drawn_and_scored_one_block_at_a_time(profile, n_views, file_len, monkeypatch):
+    """An rs prediction draws its views one block at a time, and scores
+    each block with one forward_scores call.  The blocks' rows are L
+    sequential rs_tokens draws from the view rng, the rows of make_views,
+    and the scores are bitwise one forward_scores call over make_views."""
+    params = init_params(profile, seed=12)
+    data = np.random.default_rng(12).integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
+    cfg = AblationConfig(scheme="rs", p=0.05, n_views=n_views)
+    spec = DetectorSpec(kind="rs", ablation=cfg)
+    bounds = neural.view_blocks(profile, n_views, file_len)
+    assert len(bounds) - 1 >= 3
+    views = make_views(data, cfg, content_rng(cfg.seed, data))
+    draws = content_rng(cfg.seed, data)
+    np.testing.assert_array_equal(views, np.stack([rs_tokens(data, cfg, draws) for _ in range(n_views)]))
+    want = forward_scores(params, views)
+    blocks = []
+
+    def counted(p, block):
+        blocks.append(block.copy())
+        return forward_scores(p, block)
+
+    monkeypatch.setattr(neural, "forward_scores", counted)
+    scores, starts, g = view_scores(params, spec, data)
+    assert starts is None and g == file_len
+    assert [len(b) for b in blocks] == [b - a for a, b in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(np.concatenate(blocks), views)
+    np.testing.assert_array_equal(scores, want)
 
 
 # -- loss --------------------------------------------------------------------------
