@@ -51,16 +51,6 @@ MAX_VIEWS = 10_000  # 100x the paper's largest L; bounds a checkpoint's view sta
 
 
 @dataclass(frozen=True)
-class ChunkWindow:
-    start: int
-    end: int  # exclusive
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
 class AblationConfig:
     scheme: str
     p: float = 0.05
@@ -89,11 +79,10 @@ def chunk_length(file_len: int, p: float) -> int:
     return max(1, min(g, file_len))
 
 
-def training_window(file_len: int, p: float, rng: np.random.Generator) -> ChunkWindow:
-    """The single uniformly placed training chunk (shared by rca and sca)."""
-    g = chunk_length(file_len, p)
-    start = int(rng.integers(0, file_len - g + 1))
-    return ChunkWindow(start, start + g)
+def training_start(file_len: int, p: float, rng: np.random.Generator) -> int:
+    """Start of the single uniformly placed training chunk of length
+    chunk_length(file_len, p) (shared by rca and sca)."""
+    return int(rng.integers(0, file_len - chunk_length(file_len, p) + 1))
 
 
 def rca_starts(file_len: int, cfg: AblationConfig, rng: np.random.Generator) -> tuple[np.ndarray, int]:

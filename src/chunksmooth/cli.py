@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus, harness, neural, smoothing
@@ -130,7 +131,7 @@ def cmd_evaluate(args) -> int:
         train_m, val_m, test_m = temporal_split(manifest)
         manifest = {"train": train_m, "val": val_m, "test": test_m}[args.split]
     report = harness.evaluate(params, spec, manifest, threads=args.threads, split=args.split)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     if args.json:
         Path(args.json).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
@@ -206,16 +207,9 @@ def build_parser() -> tuple[
     argparse.ArgumentParser, dict[str, argparse.ArgumentParser], argparse.ArgumentParser
 ]:
     """The top-level parser, its subcommand parsers by name, and a parser
-    of the global flags plus the subcommand name that skips everything else."""
+    of --config plus the subcommand name that skips everything else."""
     flags = argparse.ArgumentParser(add_help=False)
     flags.add_argument("--config", help="key=value file supplying defaults for the subcommand")
-    flags.add_argument(
-        "--seed", type=int, default=0, help="seed for subcommands that take one, unless they set their own"
-    )
-    flags.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for subcommands that take them, unless they set their own",
-    )
     parser = argparse.ArgumentParser(
         prog="chunksmooth",
         description="Chunk-based smoothing for byte-level malware detection: "
@@ -224,21 +218,12 @@ def build_parser() -> tuple[
     )
     head = argparse.ArgumentParser(prog=parser.prog, add_help=False, parents=[flags])
     head.add_argument("command", nargs="?")
-    # The subcommands' own --seed/--threads leave the namespace alone unless
-    # given, so they beat the global flag and the global flag beats the default.
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="overrides the global --seed")
-    threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument(
-        "--threads", type=int, default=argparse.SUPPRESS, help="overrides the global --threads"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = commands["gen-corpus"] = sub.add_parser(
-        "gen-corpus", help="synthesize a labeled corpus", parents=[seed]
-    )
+    p = commands["gen-corpus"] = sub.add_parser("gen-corpus", help="synthesize a labeled corpus")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-files", type=int, default=SynthConfig.n_files)
     p.add_argument("--size-min", type=int, default=SynthConfig.size_range[0])
     p.add_argument("--size-max", type=int, default=SynthConfig.size_range[1])
@@ -246,11 +231,10 @@ def build_parser() -> tuple[
     p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,val,test split fractions")
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = commands["train"] = sub.add_parser(
-        "train", help="train a detector and write a checkpoint", parents=[seed]
-    )
+    p = commands["train"] = sub.add_parser("train", help="train a detector and write a checkpoint")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--detector", choices=list(smoothing.DETECTOR_KINDS), default="sca")
     p.add_argument("--p", type=float, help="chunk fraction (ablation detectors)")
     p.add_argument("--n-views", type=int, help=f"votes per file, 1 to {MAX_VIEWS} (ablation detectors)")
@@ -267,20 +251,18 @@ def build_parser() -> tuple[
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_classify)
 
-    p = commands["evaluate"] = sub.add_parser(
-        "evaluate", help="confusion metrics over a corpus split", parents=[threads]
-    )
+    p = commands["evaluate"] = sub.add_parser("evaluate", help="confusion metrics over a corpus split")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
     p.add_argument("--json", help="also write the report here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = commands["attack"] = sub.add_parser(
-        "attack", help="run a black-box evasion campaign", parents=[seed]
-    )
+    p = commands["attack"] = sub.add_parser("attack", help="run a black-box evasion campaign")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attack", choices=list(harness.ATTACK_NAMES), required=True)
     p.add_argument("--param", action="append", help="attack knob, key=value (repeatable)")
     p.add_argument("--n-files", type=int, default=CampaignConfig.n_files)
@@ -305,10 +287,9 @@ def _apply_config_file(
     """Seed subcommand defaults from a key=value file named by --config.
 
     Command-line flags still win: set_defaults only fills in what the
-    user did not pass explicitly.  seed and threads become top-level
-    defaults, so that a global --seed/--threads beats them too.  A key
-    sets one value: options that take a list (file operands, --clean,
-    --param) and NUL bytes, which no command line can hold, are refused."""
+    user did not pass explicitly.  A key sets one value: options that take
+    a list (file operands, --clean, --param) and NUL bytes, which no
+    command line can hold, are refused."""
     target = commands.get(command, parser)
     # "command" is the subcommand itself, which a config file cannot choose
     actions = {a.dest: a for a in target._actions if a.dest not in ("help", "command")}
@@ -338,7 +319,6 @@ def _apply_config_file(
         if action.choices and overrides[dest] not in action.choices:
             raise ConfigInvalid(f"{path}:{lineno}: {key!r} must be one of {sorted(action.choices)}")
         action.required = False
-    parser.set_defaults(**{k: overrides.pop(k) for k in ("seed", "threads") if k in overrides})
     target.set_defaults(**overrides)
 
 

@@ -1,8 +1,7 @@
 """Evaluation harness: clean metrics, attack campaigns, robustness tables.
 
 Everything here is deterministic for a fixed (corpus, checkpoint, seed)
-triple except wall-clock timings, which therefore never enter the
-per-file record streams, only the summary dataclasses.
+triple; no wall-clock timing enters a record or a report.
 """
 
 from __future__ import annotations
@@ -10,10 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import operator
-import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,19 +47,12 @@ class EvalReport:
     fn: int
     accuracy: float
     f1: float
-    seconds: float
-
-    @property
-    def seconds_per_example(self) -> float:
-        return self.seconds / self.n if self.n else 0.0
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "seconds_per_example": self.seconds_per_example}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """The report to_dict wrote; a payload that is not an object, or
-        lacks a field or holds one of the wrong JSON type, raises DataError."""
+        """The report dataclasses.asdict gives; keys that are not fields
+        are ignored.  A payload that is not an object, or lacks a field or
+        holds one of the wrong JSON type, raises DataError."""
         if not isinstance(d, dict):
             raise DataError(f"evaluation report must be a JSON object, got {type(d).__name__}")
         hints = typing.get_type_hints(cls)
@@ -115,7 +106,6 @@ def evaluate(
     if not manifest.entries:
         raise EmptyCorpus("nothing to evaluate")
     paths = [manifest.resolve(e) for e in manifest.entries]
-    t0 = time.perf_counter()
 
     def one(path: Path) -> str:
         return smoothing.predict(params, spec, load_capped(path))
@@ -125,7 +115,6 @@ def evaluate(
             predicted = list(pool.map(one, paths))
     else:
         predicted = [one(p) for p in paths]
-    seconds = time.perf_counter() - t0
 
     truth = [e.label for e in manifest.entries]
     tp, fp, tn, fn = _confusion(truth, predicted)
@@ -140,7 +129,6 @@ def evaluate(
         fn=fn,
         accuracy=accuracy,
         f1=f1,
-        seconds=seconds,
     )
 
 
@@ -163,6 +151,7 @@ def prediction_record(
             "score": pred.score,
         }
     pred = smoothing.predict_smoothed(params, spec, data)
+    starts = [None] * len(pred.scores) if pred.starts is None else pred.starts
     return {
         "detector": spec.kind,
         "file": file,
@@ -175,12 +164,12 @@ def prediction_record(
         "per_chunk": [
             {
                 # rs views mask bytes across the whole file and have no window
-                "start": None if c.window is None else c.window.start,
-                "end": None if c.window is None else c.window.end,
-                "score": c.score,
-                "vote": c.vote,
+                "start": start,
+                "end": None if start is None else start + pred.g,
+                "score": score,
+                "vote": LABEL_MALICIOUS if score >= smoothing.VOTE_THRESHOLD else LABEL_BENIGN,
             }
-            for c in pred.per_chunk
+            for start, score in zip(starts, pred.scores)
         ],
     }
 

@@ -82,18 +82,23 @@ class MalConvParams:
         return MalConvParams(self.profile, *[t.copy() for t in self.tensors()])
 
 
-def _check_shapes(params: MalConvParams) -> None:
-    pr = params.profile
-    expect = {
-        "emb": (VOCAB_SIZE, pr.emb_dim),
-        "wa": (pr.n_filters, pr.emb_dim, pr.window),
-        "ba": (pr.n_filters,),
-        "wb": (pr.n_filters, pr.emb_dim, pr.window),
-        "bb": (pr.n_filters,),
-        "fc_w": (pr.n_filters,),
+def _shapes(profile: ModelProfile) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape under profile, in TENSOR_FIELDS order."""
+    conv = (profile.n_filters, profile.emb_dim, profile.window)
+    filters = (profile.n_filters,)
+    return {
+        "emb": (VOCAB_SIZE, profile.emb_dim),
+        "wa": conv,
+        "ba": filters,
+        "wb": conv,
+        "bb": filters,
+        "fc_w": filters,
         "fc_b": (1,),
     }
-    for name, shape in expect.items():
+
+
+def _check_shapes(params: MalConvParams) -> None:
+    for name, shape in _shapes(params.profile).items():
         got = getattr(params, name).shape
         if got != shape:
             raise ShapeMismatch(f"{name}: expected {shape}, got {got}")
@@ -101,19 +106,18 @@ def _check_shapes(params: MalConvParams) -> None:
 
 def init_params(profile: ModelProfile, seed: int, dtype=np.float32) -> MalConvParams:
     rng = np.random.default_rng(seed)
+    shapes = _shapes(profile)
     scale = np.sqrt(2.0 / (profile.emb_dim * profile.window))
-    params = MalConvParams(
+    return MalConvParams(
         profile=profile,
-        emb=rng.normal(0.0, 0.1, (VOCAB_SIZE, profile.emb_dim)).astype(dtype),
-        wa=rng.normal(0.0, scale, (profile.n_filters, profile.emb_dim, profile.window)).astype(dtype),
-        ba=np.zeros(profile.n_filters, dtype=dtype),
-        wb=rng.normal(0.0, scale, (profile.n_filters, profile.emb_dim, profile.window)).astype(dtype),
-        bb=np.zeros(profile.n_filters, dtype=dtype),
-        fc_w=rng.normal(0.0, 1.0 / np.sqrt(profile.n_filters), profile.n_filters).astype(dtype),
-        fc_b=np.zeros(1, dtype=dtype),
+        emb=rng.normal(0.0, 0.1, shapes["emb"]).astype(dtype),
+        wa=rng.normal(0.0, scale, shapes["wa"]).astype(dtype),
+        ba=np.zeros(shapes["ba"], dtype=dtype),
+        wb=rng.normal(0.0, scale, shapes["wb"]).astype(dtype),
+        bb=np.zeros(shapes["bb"], dtype=dtype),
+        fc_w=rng.normal(0.0, 1.0 / np.sqrt(profile.n_filters), shapes["fc_w"]).astype(dtype),
+        fc_b=np.zeros(shapes["fc_b"], dtype=dtype),
     )
-    _check_shapes(params)
-    return params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -448,15 +452,7 @@ def load_checkpoint(path: str | Path) -> tuple[MalConvParams, dict]:
     if dims["stride"] > dims["window"]:
         raise DataError(f"{path}: model stride {dims['stride']} exceeds window {dims['window']}")
     profile = ModelProfile(**dims)
-    shapes = [
-        (VOCAB_SIZE, profile.emb_dim),
-        (profile.n_filters, profile.emb_dim, profile.window),
-        (profile.n_filters,),
-        (profile.n_filters, profile.emb_dim, profile.window),
-        (profile.n_filters,),
-        (profile.n_filters,),
-        (1,),
-    ]
+    shapes = _shapes(profile).values()
     need = sum(math.prod(s) for s in shapes) * 4
     body = raw[10 + blob_len :]
     if len(body) != need:

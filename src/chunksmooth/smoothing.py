@@ -20,13 +20,13 @@ import numpy as np
 from . import neural
 from .ablation import (
     AblationConfig,
-    ChunkWindow,
+    chunk_length,
     count_touching,
     make_views,
     rca_starts,
     rs_tokens,
     sca_starts,
-    training_window,
+    training_start,
 )
 from .corpus import (
     LABEL_BENIGN,
@@ -116,13 +116,6 @@ class DetectorSpec:
 
 
 @dataclass(frozen=True)
-class ChunkRecord:
-    window: ChunkWindow | None
-    score: float
-    vote: str
-
-
-@dataclass(frozen=True)
 class PlainPrediction:
     score: float
     label: str
@@ -130,13 +123,18 @@ class PlainPrediction:
 
 @dataclass(frozen=True)
 class SmoothedPrediction:
+    """A vote over L views: their scores in view order, their starts
+    (None for rs, whose views have none) and their common length g."""
+
     kind: str
     p: float
     n_views: int
     votes: dict[str, int]
     probabilities: dict[str, float]
     label: str
-    per_chunk: tuple[ChunkRecord, ...]
+    scores: tuple[float, ...]
+    starts: tuple[int, ...] | None
+    g: int
     file_len: int
 
     @property
@@ -157,7 +155,7 @@ def content_rng(seed: int, data: bytes) -> np.random.Generator:
 def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     tokens = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
     score = neural.forward(params, tokens).score
-    label = LABEL_MALICIOUS if score >= 0.5 else LABEL_BENIGN
+    label = LABEL_MALICIOUS if score >= VOTE_THRESHOLD else LABEL_BENIGN
     return PlainPrediction(score=score, label=label)
 
 
@@ -204,15 +202,6 @@ def predict_smoothed(
 ) -> SmoothedPrediction:
     scores, starts, g = view_scores(params, spec, data, rng)
     votes, probabilities, label = tally_votes(scores)
-    windows = [None] * scores.size if starts is None else [ChunkWindow(s, s + g) for s in starts.tolist()]
-    per_chunk = tuple(
-        ChunkRecord(
-            window=w,
-            score=float(s),
-            vote=LABEL_MALICIOUS if s >= VOTE_THRESHOLD else LABEL_BENIGN,
-        )
-        for w, s in zip(windows, scores)
-    )
     return SmoothedPrediction(
         kind=spec.kind,
         p=spec.ablation.p,
@@ -220,14 +209,16 @@ def predict_smoothed(
         votes=votes,
         probabilities=probabilities,
         label=label,
-        per_chunk=per_chunk,
+        scores=tuple(scores.tolist()),
+        starts=None if starts is None else tuple(starts.tolist()),
+        g=g,
         file_len=len(data),
     )
 
 
 def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> str:
     """Just the label, through whichever path the spec calls for.  The
-    smoothed path is predict_smoothed without its per-chunk records."""
+    smoothed path is predict_smoothed without its view arrays."""
     if spec.kind == "ns":
         return predict_plain(params, data).label
     return tally_votes(view_scores(params, spec, data)[0])[2]
@@ -272,9 +263,9 @@ def certify_inplace(
     return CertificationResult(certified=certified, touched=touched, margin=margin)
 
 
-def chunk_attribution(pred: SmoothedPrediction) -> list[ChunkRecord]:
-    """Chunks ordered most-suspicious first; stable for equal scores."""
-    return sorted(pred.per_chunk, key=lambda c: -c.score)
+def chunk_attribution(pred: SmoothedPrediction) -> list[int]:
+    """View indices ordered most-suspicious first; stable for equal scores."""
+    return sorted(range(len(pred.scores)), key=lambda i: -pred.scores[i])
 
 
 # -- training ----------------------------------------------------------------------
@@ -327,8 +318,8 @@ def _training_tokens(data: bytes, spec: DetectorSpec, rng: np.random.Generator) 
         return raw.astype(np.int32)
     if spec.kind == "rs":
         return rs_tokens(data, spec.ablation, rng)
-    w = training_window(len(data), spec.ablation.p, rng)
-    return raw[w.start : w.end].astype(np.int32)
+    start = training_start(len(data), spec.ablation.p, rng)
+    return raw[start : start + chunk_length(len(data), spec.ablation.p)].astype(np.int32)
 
 
 def _validation_accuracy(

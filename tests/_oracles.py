@@ -146,6 +146,11 @@ def dense_backward(params, cache, label):
 # -- voting -------------------------------------------------------------------------
 
 
+def vote_oracle(scores):
+    """Per-view hard votes at 0.5, one string per view."""
+    return ["malicious" if s >= 0.5 else "benign" for s in scores]
+
+
 def tally_oracle(scores):
     """Brute-force tally: per-view hard vote at 0.5, majority label with
     the malicious tie-break."""
@@ -177,27 +182,27 @@ def naive_touch_count(windows, region):
     count = 0
     for w in windows:
         lo = max(w.start, a)
-        hi = min(w.end, b)
+        hi = min(w.stop, b)
         if hi > lo:
             count += 1
     return count
 
 
 def sca_windows(file_len, cfg):
-    """The package's sca placement as a list of ChunkWindow, one per view:
+    """The package's sca placement as a list of byte ranges, one per view:
     the form the window-list checks below take."""
-    from chunksmooth.ablation import ChunkWindow, sca_starts
+    from chunksmooth.ablation import sca_starts
 
     starts, g = sca_starts(file_len, cfg)
-    return [ChunkWindow(s, s + g) for s in starts.tolist()]
+    return [range(s, s + g) for s in starts.tolist()]
 
 
 def rca_windows(file_len, cfg, rng):
-    """The package's rca placement as a list of ChunkWindow, one per view."""
-    from chunksmooth.ablation import ChunkWindow, rca_starts
+    """The package's rca placement as a list of byte ranges, one per view."""
+    from chunksmooth.ablation import rca_starts
 
     starts, g = rca_starts(file_len, cfg, rng)
-    return [ChunkWindow(s, s + g) for s in starts.tolist()]
+    return [range(s, s + g) for s in starts.tolist()]
 
 
 def windows_touching(windows, region):
@@ -207,7 +212,7 @@ def windows_touching(windows, region):
     a, b = region
     if b <= a:
         return []
-    return [i for i, w in enumerate(windows) if w.start < b and w.end > a]
+    return [i for i, w in enumerate(windows) if w.start < b and w.stop > a]
 
 
 def naive_zero_runs(data):

@@ -13,14 +13,13 @@ from chunksmooth.ablation import (
     ABLATE_TOKEN,
     MAX_VIEWS,
     AblationConfig,
-    ChunkWindow,
     chunk_length,
     count_touching,
     make_views,
     rca_starts,
     rs_tokens,
     sca_starts,
-    training_window,
+    training_start,
 )
 from chunksmooth.errors import ConfigInvalid
 from chunksmooth.smoothing import DetectorSpec, _training_tokens
@@ -74,20 +73,26 @@ def test_ablation_config_validation():
 
 
 def test_training_window_bounds_and_size():
+    """Each call makes one draw of rng.integers(0, l - g + 1), so the
+    chunk [start, start + g) lies inside the file and training batches
+    keep their bits."""
     rng = np.random.default_rng(0)
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
     for _ in range(300):
         l = int(rng.integers(1, 5000))
         p = float(rng.choice([0.01, 0.05, 0.3, 1.0]))
-        w = training_window(l, p, rng)
-        assert w.length == chunk_length(l, p)
-        assert 0 <= w.start and w.end <= l
+        g = chunk_length(l, p)
+        start = training_start(l, p, got_rng)
+        assert type(start) is int and start == want_rng.integers(0, l - g + 1)
+        assert 0 <= start and start + g <= l
+    assert got_rng.random() == want_rng.random()
 
 
 def test_training_window_placement_is_uniform():
     # l=1000, p=0.05: start is uniform on [0, 950]. Bucket the draws into
     # 19 width-50 bins over [0, 950); each holds q = 50/951 of the mass.
     rng = np.random.default_rng(42)
-    draws = [training_window(1000, 0.05, rng).start for _ in range(10000)]
+    draws = [training_start(1000, 0.05, rng) for _ in range(10000)]
     assert min(draws) >= 0 and max(draws) <= 950
     q = 50 / 951
     sigma = math.sqrt(10000 * q * (1 - q))
@@ -106,7 +111,7 @@ def test_rca_windows_shape_and_determinism():
     assert ws1 == ws2
     assert len(ws1) == 40
     for w in ws1:
-        assert w.length == 50 and 0 <= w.start and w.end <= 1000
+        assert len(w) == 50 and 0 <= w.start and w.stop <= 1000
     ws3 = rca_windows(1000, cfg, np.random.default_rng(4))
     assert ws3 != ws1
 
@@ -122,7 +127,7 @@ def test_rca_starts_consume_the_rng_as_rca_windows_did():
     assert g == 50 and starts.dtype == np.int64
     np.testing.assert_array_equal(starts, want)
     assert got_rng.random() == want_rng.random()
-    assert rca_windows(1000, cfg, np.random.default_rng(5)) == [ChunkWindow(int(s), int(s) + 50) for s in want]
+    assert rca_windows(1000, cfg, np.random.default_rng(5)) == [range(int(s), int(s) + 50) for s in want]
 
 
 # -- structured chunk placement ---------------------------------------------------
@@ -130,17 +135,17 @@ def test_rca_starts_consume_the_rng_as_rca_windows_did():
 
 def test_sca_20_views_tile_disjointly():
     ws = sca_windows(1000, _sca_cfg(n_views=20))
-    assert [(w.start, w.end) for w in ws] == [(i * 50, i * 50 + 50) for i in range(20)]
+    assert [(w.start, w.stop) for w in ws] == [(i * 50, i * 50 + 50) for i in range(20)]
 
 
 def test_sca_100_views_overlap_band():
     ws = sca_windows(1000, _sca_cfg(n_views=100))
     assert len(ws) == 100
-    assert ws[0].start == 0 and ws[-1].end == 1000
+    assert ws[0].start == 0 and ws[-1].stop == 1000
     fractions = set()
     for a, b in zip(ws, ws[1:]):
         assert b.start >= a.start  # monotone placement
-        fractions.add((a.end - b.start) / 50)
+        fractions.add((a.stop - b.start) / 50)
     assert fractions == {0.80, 0.82}
     assert all(0.77 <= f <= 0.83 for f in fractions)
 
@@ -156,7 +161,7 @@ def test_sca_is_deterministic_and_ignores_rng():
 
 def test_sca_single_view():
     ws = sca_windows(1000, _sca_cfg(n_views=1))
-    assert ws == [ChunkWindow(0, 50)]
+    assert ws == [range(0, 50)]
 
 
 # -- masking ------------------------------------------------------------------------
@@ -210,7 +215,7 @@ def test_make_views_chunk_payloads_match_file_bytes():
             windows = rca_windows(len(data), cfg, np.random.default_rng(2))
         assert views.shape == (25, chunk_length(len(data), 0.05)) and views.dtype == np.int32
         for row, w in zip(views, windows):
-            expect = np.frombuffer(data[w.start : w.end], dtype=np.uint8)
+            expect = np.frombuffer(data[w.start : w.stop], dtype=np.uint8)
             np.testing.assert_array_equal(row, expect.astype(np.int32))
 
 
@@ -233,14 +238,14 @@ def test_make_views_default_rng_comes_from_config_seed():
 
 
 def test_window_tokens_is_a_view_of_the_right_bytes():
-    """A chunk scheme's training view is the file's bytes in the training
-    window drawn from the same rng, as int32 tokens."""
+    """A chunk scheme's training view is the g file bytes from the
+    training start drawn from the same rng, as int32 tokens."""
     data = bytes(range(100))
     for scheme in ("rca", "sca"):
         spec = DetectorSpec(kind=scheme, ablation=AblationConfig(scheme=scheme, p=0.1, n_views=1))
         toks = _training_tokens(data, spec, np.random.default_rng(4))
-        w = training_window(100, 0.1, np.random.default_rng(4))
-        assert toks.tolist() == list(range(w.start, w.end))
+        start = training_start(100, 0.1, np.random.default_rng(4))
+        assert toks.tolist() == list(range(start, start + 10))
         assert toks.dtype == np.int32
 
 
@@ -259,7 +264,7 @@ def test_windows_touching_matches_naive_oracle():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         ws = [
-            ChunkWindow(int(s), int(s) + int(g))
+            range(int(s), int(s) + int(g))
             for s, g in zip(rng.integers(0, 900, size=8), rng.integers(1, 120, size=8))
         ]
         a = int(rng.integers(0, 1000))
@@ -269,7 +274,7 @@ def test_windows_touching_matches_naive_oracle():
             assert got == []
             continue
         assert len(got) == naive_touch_count(ws, (a, b))
-        assert got == [i for i, w in enumerate(ws) if max(w.start, a) < min(w.end, b)]
+        assert got == [i for i, w in enumerate(ws) if max(w.start, a) < min(w.stop, b)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,10 +331,10 @@ def test_windows_always_legal(p, n_views, scheme, data):
     else:
         ws = rca_windows(l, cfg, np.random.default_rng(123))
     for w in ws:
-        assert 0 <= w.start < w.end <= l
-        assert w.length == g
+        assert 0 <= w.start < w.stop <= l
+        assert len(w) == g
     if scheme == "sca":
         assert ws[0].start == 0  # byte 0 covered
         if n_views >= 2:  # a single view is pinned to [0, g) and may not reach the end
-            assert ws[-1].end == l  # byte l-1 covered
+            assert ws[-1].stop == l  # byte l-1 covered
         assert all(b.start >= a.start for a, b in zip(ws, ws[1:]))

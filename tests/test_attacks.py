@@ -285,7 +285,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
     data = rng.integers(0, 256, size=40_000, dtype=np.uint8).tobytes()
     windows = sca_windows(len(data), cfg)
-    cells = _cells(pr, [w.start for w in windows], windows[0].length)
+    cells = _cells(pr, [w.start for w in windows], len(windows[0]))
     scores = attacks.ColumnScores(params, cfg)
     seen = _rescored_cells(monkeypatch)
     scores(data)
@@ -300,7 +300,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
         touched = _touching_cells(cells, pr.window, runs)
         views = set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1]))
-        assert {i // neural.view_columns(pr, windows[0].length) for i in touched} <= views
+        assert {i // neural.view_columns(pr, len(windows[0])) for i in touched} <= views
         assert seen == [[cells[i] for i in _padded(cells, touched)]]
         padded += len(touched) < neural.MIN_RESCORE_COLUMNS
     assert padded  # at least one edit touched fewer cells than the floor

@@ -5,7 +5,7 @@ import csv
 import hashlib
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import metrics_oracle
+from _oracles import metrics_oracle, tally_oracle, vote_oracle
 from chunksmooth import attacks, cli, harness, neural, pe, smoothing
 from chunksmooth.ablation import MAX_VIEWS, AblationConfig
 from chunksmooth.attacks import GaConfig
@@ -56,7 +56,6 @@ def _report(**kw):
         fn=1,
         accuracy=0.8,
         f1=0.8,
-        seconds=2.5,
     )
     base.update(kw)
     return EvalReport(**base)
@@ -64,16 +63,21 @@ def _report(**kw):
 
 def test_eval_report_round_trip():
     report = _report()
-    again = EvalReport.from_dict(report.to_dict())
+    again = EvalReport.from_dict(asdict(report))
     assert again == report
-    assert again.seconds_per_example == 0.25
     # reports written before the field was dropped still load
-    assert EvalReport.from_dict({**report.to_dict(), "train_minutes_per_epoch": None}) == report
-    assert _report(n=0, tp=0, tn=0, fp=0, fn=0).seconds_per_example == 0.0
+    assert EvalReport.from_dict({**asdict(report), "train_minutes_per_epoch": None}) == report
+
+
+def test_eval_report_reads_reports_with_wall_clock_keys():
+    # reports once carried the evaluation's wall-clock time; it is ignored
+    report = _report()
+    old = {**asdict(report), "seconds": 2.5, "seconds_per_example": 0.25}
+    assert EvalReport.from_dict(old) == report
 
 
 def test_eval_report_missing_field():
-    d = _report().to_dict()
+    d = asdict(_report())
     del d["tn"]
     with pytest.raises(DataError, match="tn"):
         EvalReport.from_dict(d)
@@ -83,10 +87,10 @@ def test_eval_report_missing_field():
     "payload, match",
     [
         ([1, 2], "JSON object"),
-        ({**_report().to_dict(), "accuracy": "high"}, "accuracy"),
-        ({**_report().to_dict(), "n": 10.0}, "'n'"),
-        ({**_report().to_dict(), "tp": True}, "tp"),
-        ({**_report().to_dict(), "detector": None}, "detector"),
+        ({**asdict(_report()), "accuracy": "high"}, "accuracy"),
+        ({**asdict(_report()), "n": 10.0}, "'n'"),
+        ({**asdict(_report()), "tp": True}, "tp"),
+        ({**asdict(_report()), "detector": None}, "detector"),
     ],
 )
 def test_eval_report_rejects_wrong_types(payload, match):
@@ -266,8 +270,6 @@ def test_evaluate_counts_and_split_stamp(desk_model, small_splits):
     assert (report.accuracy, report.f1) == metrics_oracle(
         report.tp, report.fp, report.tn, report.fn
     )
-    assert report.seconds > 0
-    assert report.seconds_per_example == report.seconds / report.n
 
 
 def test_evaluate_thread_count_never_changes_results(desk_model, small_splits):
@@ -299,6 +301,45 @@ def test_prediction_record_shapes(desk_model, small_corpus):
 
     plain = harness.prediction_record(params, smoothing.DetectorSpec(kind="ns"), data)
     assert set(plain) == {"detector", "file", "sha256", "label", "score"}
+
+
+@pytest.mark.parametrize("profile", ["desk", "original"])
+@pytest.mark.parametrize("length", ["short", "window", "long"])
+@pytest.mark.parametrize("n_views", [1, 20, 100])
+def test_prediction_record_matches_view_scores(profile, length, n_views):
+    """A smoothed record is its view scores, starts and g plus the vote
+    threshold, field by field and as JSON text, for chunks shorter than,
+    equal to and longer than the conv window (p=0.05, so l = 20 g)."""
+    pr = neural.PROFILES[profile]
+    g = {"short": pr.window - 1, "window": pr.window, "long": 2 * pr.window + 1}[length]
+    params = neural.init_params(pr, seed=n_views)
+    data = np.random.default_rng(g).integers(0, 256, size=20 * g, dtype=np.uint8).tobytes()
+    for kind in ("sca", "rca", "rs"):
+        spec = smoothing.DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
+        scores, starts, view_len = smoothing.view_scores(params, spec, data)
+        assert view_len == (len(data) if kind == "rs" else g)
+        scores = [float(s) for s in scores]
+        votes, probabilities, label = tally_oracle(scores)
+        bounds = [(None, None)] * n_views if starts is None else [(int(s), int(s) + g) for s in starts]
+        want = {
+            "detector": kind,
+            "file": "f",
+            "sha256": "d",
+            "label": label,
+            "votes": votes,
+            "probabilities": probabilities,
+            "L": n_views,
+            "p": 0.05,
+            "per_chunk": [
+                {"start": a, "end": b, "score": s, "vote": v}
+                for (a, b), s, v in zip(bounds, scores, vote_oracle(scores))
+            ],
+        }
+        rec = harness.prediction_record(params, spec, data, file="f", sha256="d")
+        assert sorted(rec) == sorted(want)
+        for key in want:
+            assert rec[key] == want[key], (kind, key)
+        assert json.dumps(rec, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # -- attack campaigns ---------------------------------------------------------------------
@@ -509,6 +550,7 @@ def test_cli_evaluate(cli_env, tmp_path):
     )
     assert rc == 0
     report = json.loads(out.read_text())
+    assert sorted(report) == sorted(f.name for f in fields(EvalReport))  # no wall-clock keys
     assert report["split"] == "test"
     assert report["n"] == 4
     assert report["tp"] + report["fp"] + report["tn"] + report["fn"] == 4
@@ -666,7 +708,7 @@ def test_cli_report_rejects_bad_records(tmp_path, capsys, content, where):
         (b'{"detector": ', "not a UTF-8 JSON"),
         (b'"\xff\xfe"', "not a UTF-8 JSON"),
         (b"[1]", "JSON object"),
-        (json.dumps({k: v for k, v in _report().to_dict().items() if k != "accuracy"}).encode(), "accuracy"),
+        (json.dumps({k: v for k, v in asdict(_report()).items() if k != "accuracy"}).encode(), "accuracy"),
     ],
     ids=["missing", "bad-json", "not-utf8", "not-an-object", "no-accuracy"],
 )
@@ -879,41 +921,41 @@ def test_cli_config_file_defaults_and_overrides(cli_env, tmp_path):
 
 
 def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
+    """--seed and --threads belong to the subcommands that take them: a
+    config file's value gives way to the subcommand's flag, and the
+    global form before the subcommand exits 2."""
     common = ["--n-files", "6", "--size-min", "6144", "--size-max", "8192"]
-    out_a, out_b, out_c = (tmp_path / n for n in "abc")
-    assert cli.main(["--seed", "7", "gen-corpus", "--out", str(out_a), *common]) == 0
-    assert cli.main(["gen-corpus", "--out", str(out_b), *common, "--seed", "7"]) == 0
-    # subcommand's own flag wins over the forwarded global
-    assert cli.main(["--seed", "7", "gen-corpus", "--out", str(out_c), *common, "--seed", "11"]) == 0
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["gen-corpus", "--out", str(out_a), *common, "--seed", "7"]) == 0
+    assert cli.main(["gen-corpus", "--out", str(out_b), *common, "--seed", "11"]) == 0
 
     digests = lambda d: [e.sha256 for e in read_manifest(d / "manifest.csv").entries]
-    assert digests(out_a) == digests(out_b)
-    assert digests(out_c) != digests(out_a)
+    assert digests(out_a) != digests(out_b)
 
-    # a config file's seed gives way to a global --seed, which gives way to
-    # the subcommand's --seed
     cfg = tmp_path / "seed.cfg"
     cfg.write_text("seed = 7\n")
-    out_cfg, out_global, out_sub = (tmp_path / n for n in ("cfg", "global", "sub"))
-    head = ["--config", str(cfg)]
-    assert cli.main([*head, "gen-corpus", "--out", str(out_cfg), *common]) == 0
-    assert cli.main([*head, "--seed", "11", "gen-corpus", "--out", str(out_global), *common]) == 0
-    assert cli.main([*head, "--seed", "11", "gen-corpus", "--out", str(out_sub), *common, "--seed", "7"]) == 0
+    out_cfg, out_sub = tmp_path / "cfg", tmp_path / "sub"
+    assert cli.main(["--config", str(cfg), "gen-corpus", "--out", str(out_cfg), *common]) == 0
+    assert cli.main(["--config", str(cfg), "gen-corpus", "--out", str(out_sub), *common, "--seed", "11"]) == 0
     assert digests(out_cfg) == digests(out_a)
-    assert digests(out_global) == digests(out_c)
-    assert digests(out_sub) == digests(out_a)
+    assert digests(out_sub) == digests(out_b)
 
-    # a global --threads reaches evaluate, below its own flag, and gen-corpus ignores it
     seen = []
     monkeypatch.setattr(cli, "cmd_evaluate", lambda args: seen.append(args.threads) or 0)
     evaluate = ["evaluate", "--model", "m.bin", "--corpus", "c"]
+    threads_cfg = tmp_path / "threads.cfg"
+    threads_cfg.write_text("threads = 2\n")
     assert cli.main(evaluate) == 0
-    assert cli.main(["--threads", "2", *evaluate]) == 0
-    assert cli.main(["--threads", "2", *evaluate, "--threads", "3"]) == 0
+    assert cli.main(["--config", str(threads_cfg), *evaluate]) == 0
+    assert cli.main(["--config", str(threads_cfg), *evaluate, "--threads", "3"]) == 0
     assert seen == [1, 2, 3]
-    out_t = tmp_path / "t"
-    assert cli.main(["--threads", "2", "gen-corpus", "--out", str(out_t), *common, "--seed", "7"]) == 0
-    assert digests(out_t) == digests(out_a)
+
+    out_global = tmp_path / "global"
+    for argv in (["--seed", "7", "gen-corpus", "--out", str(out_global), *common], ["--threads", "2", *evaluate]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert seen == [1, 2, 3] and not out_global.exists()
 
 
 def test_cli_exit_codes(cli_env, tmp_path, capsys):

@@ -220,7 +220,7 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     np.testing.assert_array_equal(got, want)
     scores, starts, g = view_scores(params, spec, data)
     np.testing.assert_array_equal(scores, want)
-    np.testing.assert_array_equal([c.score for c in predict_smoothed(params, spec, data).per_chunk], want)
+    np.testing.assert_array_equal(predict_smoothed(params, spec, data).scores, want)
     if kind != "rs":
         assert g == view_len and starts.size == n_views
         chunks = neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g)

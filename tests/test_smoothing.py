@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import exhaustive_flip_invariant, tally_oracle, windows_touching
-from chunksmooth import neural, smoothing
-from chunksmooth.ablation import AblationConfig, ChunkWindow
+from _oracles import exhaustive_flip_invariant, tally_oracle, vote_oracle, windows_touching
+from chunksmooth import harness, neural, smoothing
+from chunksmooth.ablation import AblationConfig
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
 from chunksmooth.errors import ConfigInvalid, DataError, NotLengthPreserving, NotSca
 from chunksmooth.smoothing import (
@@ -71,9 +71,9 @@ def test_vote_tally_matches_oracle_on_random_scores(monkeypatch):
         assert pred.probabilities == pytest.approx(probs)
         assert sum(pred.probabilities.values()) == pytest.approx(1.0)
         assert pred.label == label
-        for rec in pred.per_chunk:
-            want = LABEL_MALICIOUS if rec.score >= 0.5 else LABEL_BENIGN
-            assert rec.vote == want
+        assert pred.scores == tuple(scores.tolist())
+        rec = harness.prediction_record(None, spec, data)
+        assert [c["vote"] for c in rec["per_chunk"]] == vote_oracle(scores)
 
 
 def test_vote_examples(monkeypatch):
@@ -131,7 +131,7 @@ def test_randomized_schemes_are_reproducible_per_content():
         p1 = predict_smoothed(params, spec, data)
         p2 = predict_smoothed(params, spec, data)
         assert p1.votes == p2.votes
-        assert [c.score for c in p1.per_chunk] == [c.score for c in p2.per_chunk]
+        assert p1.scores == p2.scores
 
 
 def test_content_rng_depends_on_content_and_seed():
@@ -224,9 +224,9 @@ def test_certified_predictions_survive_every_vote_reassignment(monkeypatch):
         b = int(rng.integers(a, min(a + 300, 1000) + 1))
         res = certify_inplace(pred, (a, b), spec)
         if res.certified:
-            windows = [c.window for c in pred.per_chunk]
+            windows = [range(s, s + pred.g) for s in pred.starts]
             touched_idx = windows_touching(windows, (a, b))
-            votes = [c.vote for c in pred.per_chunk]
+            votes = vote_oracle(pred.scores)
             assert exhaustive_flip_invariant(votes, touched_idx), (scores, a, b)
             checked_certified += 1
     assert checked_certified > 10  # the loop must actually exercise the claim
@@ -243,7 +243,7 @@ def test_untouched_windows_vote_identically_after_inplace_edit(small_splits, des
     for entry in test_m.entries:
         data = load_capped(test_m.resolve(entry))
         pred = predict_smoothed(params, spec, data)
-        windows = [c.window for c in pred.per_chunk]
+        windows = [range(s, s + pred.g) for s in pred.starts]
         for _ in range(5):
             start = int(rng.integers(0, len(data) - 400))
             length = int(rng.integers(1, 400))
@@ -254,9 +254,10 @@ def test_untouched_windows_vote_identically_after_inplace_edit(small_splits, des
             ).tobytes()
             pred2 = predict_smoothed(params, spec, bytes(edited))
             touched = set(windows_touching(windows, region))
-            for i, (c1, c2) in enumerate(zip(pred.per_chunk, pred2.per_chunk)):
+            assert pred2.starts == pred.starts and pred2.g == pred.g
+            for i, (s1, s2) in enumerate(zip(pred.scores, pred2.scores)):
                 if i not in touched:
-                    assert c1.score == c2.score and c1.vote == c2.vote
+                    assert s1 == s2
             # tally can shift by at most the touched count in each direction
             diff = abs(pred.votes[LABEL_MALICIOUS] - pred2.votes[LABEL_MALICIOUS])
             assert diff <= len(touched)
@@ -273,10 +274,10 @@ def test_untouched_windows_vote_identically_after_inplace_edit(small_splits, des
 def test_attribution_sorts_by_score_stably(monkeypatch):
     pred, _ = _pred_with_votes(monkeypatch, [0.3, 0.9, 0.3, 0.9, 0.1], file_len=500)
     ranked = chunk_attribution(pred)
-    assert [c.score for c in ranked] == [0.9, 0.9, 0.3, 0.3, 0.1]
-    # equal scores keep their original window order
-    assert ranked[0].window.start < ranked[1].window.start
-    assert ranked[2].window.start < ranked[3].window.start
+    assert [pred.scores[i] for i in ranked] == [0.9, 0.9, 0.3, 0.3, 0.1]
+    # equal scores keep their view order, which is the sca window order
+    assert ranked == [1, 3, 0, 2, 4]
+    assert list(pred.starts) == sorted(pred.starts)
 
 
 def test_attribution_flags_the_motif_window(desk_model):
@@ -299,11 +300,10 @@ def test_attribution_flags_the_motif_window(desk_model):
 
     spec20 = _sca_spec(n_views=20)
     pred = predict_smoothed(params, spec20, bytes(data))
-    windows = [c.window for c in pred.per_chunk]
-    assert windows[7] == ChunkWindow(896, 1024)
+    assert (pred.starts[7], pred.g) == (896, 128)
     ranked = chunk_attribution(pred)
-    assert ranked[0].window == ChunkWindow(896, 1024)
-    assert ranked[0].score > ranked[1].score
+    assert ranked[0] == 7
+    assert pred.scores[ranked[0]] > pred.scores[ranked[1]]
 
 
 # -- training loop --------------------------------------------------------------------------
