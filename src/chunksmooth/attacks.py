@@ -181,9 +181,7 @@ def ga_optimize(oracle, genome_len: int, build, cfg: GaConfig) -> GaResult:
     individual, or at the generation cap.
     """
     rng = np.random.default_rng(cfg.seed)
-    pop = rng.integers(0, 256, size=(cfg.population, max(genome_len, 1)), dtype=np.uint8)
-    if genome_len == 0:
-        pop = pop[:, :0]
+    pop = rng.integers(0, 256, size=(cfg.population, genome_len), dtype=np.uint8)
 
     best_genome = None
     best_score = math.inf
@@ -252,7 +250,13 @@ class AttackResult:
     seed: int
 
 
-def _finish(attack: str, original_len: int, build_full, ga: GaResult, seed: int) -> AttackResult:
+def _run_ga(
+    attack: str, data: bytes, oracle, genome_len: int, build_full, ga_cfg: GaConfig
+) -> AttackResult:
+    """Run the GA over genomes of genome_len bytes, which build_full turns
+    into (adversarial bytes, payload spans), and give the attack's result
+    for the genome it chose."""
+    ga = ga_optimize(oracle, genome_len, lambda g: build_full(g)[0], ga_cfg)
     adv, spans = build_full(ga.chosen_genome)
     return AttackResult(
         attack=attack,
@@ -260,9 +264,9 @@ def _finish(attack: str, original_len: int, build_full, ga: GaResult, seed: int)
         evaded=ga.evaded,
         queries=ga.queries,
         payload_spans=tuple(spans),
-        size_ratio=len(adv) / original_len,
+        size_ratio=len(adv) / len(data),
         best_score=ga.best_score,
-        seed=seed,
+        seed=ga_cfg.seed,
     )
 
 
@@ -299,8 +303,7 @@ def attack_padding(data: bytes, oracle, cfg: PaddingConfig) -> AttackResult:
         spans = list(slack) + ([(len(data), len(data) + cfg.n_pad)] if cfg.n_pad else [])
         return bytes(buf), spans
 
-    ga = ga_optimize(oracle, genome_len, lambda g: build_full(g)[0], cfg.ga)
-    return _finish("padding", len(data), build_full, ga, cfg.ga.seed)
+    return _run_ga("padding", data, oracle, genome_len, build_full, cfg.ga)
 
 
 # -- shift -------------------------------------------------------------------------
@@ -348,8 +351,7 @@ def attack_shift(data: bytes, oracle, cfg: ShiftConfig) -> AttackResult:
     def build_full(genome: np.ndarray):
         return head + genome.tobytes() + tail, [(insert_at, insert_at + ext)]
 
-    ga = ga_optimize(oracle, ext, lambda g: build_full(g)[0], cfg.ga)
-    return _finish("shift", len(data), build_full, ga, cfg.ga.seed)
+    return _run_ga("shift", data, oracle, ext, build_full, cfg.ga)
 
 
 # -- benign-section injection -------------------------------------------------------
@@ -438,8 +440,7 @@ def attack_gamma(data: bytes, oracle, pool: list[bytes], cfg: GammaConfig) -> At
         out += patched[layout.overlay_start :]
         return bytes(out), spans
 
-    ga = ga_optimize(oracle, 2 * cfg.n_sections, lambda g: build_full(g)[0], cfg.ga)
-    return _finish("gamma", len(data), build_full, ga, cfg.ga.seed)
+    return _run_ga("gamma", data, oracle, 2 * cfg.n_sections, build_full, cfg.ga)
 
 
 # -- code caves ---------------------------------------------------------------------
@@ -530,5 +531,4 @@ def attack_caves(data: bytes, oracle, cfg: CavesConfig) -> AttackResult:
                 pe.patch_u32(buf, entry + 20, sec.raw_offset + moved)
         return bytes(buf), spans
 
-    ga = ga_optimize(oracle, genome_len, lambda g: build_full(g)[0], cfg.ga)
-    return _finish("caves", len(data), build_full, ga, cfg.ga.seed)
+    return _run_ga("caves", data, oracle, genome_len, build_full, cfg.ga)

@@ -2,7 +2,7 @@
 
 Subcommands cover the full loop: gen-corpus, train, classify, evaluate,
 attack, report.  Exit codes: 0 success, 2 configuration problems,
-3 data problems, 4 numeric failures.
+3 data problems and outputs that cannot be written, 4 numeric failures.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from . import corpus, harness, neural, smoothing
 from .ablation import MAX_VIEWS, AblationConfig
 from .attacks import GaConfig
 from .corpus import SynthConfig, load_capped, read_manifest, temporal_split
-from .errors import ConfigError, ConfigInvalid, DataError, IoFailure, NumericError
+from .errors import ConfigError, ConfigInvalid, DataError, NumericError, json_loads, read_input
 from .harness import CampaignConfig
 from .smoothing import DetectorSpec, TrainConfig
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+# the exit code of each exception that reaches main; an OSError there is an
+# output the command could not write, since every input read raises IoFailure
+EXIT_CODES = {ConfigError: 2, DataError: 3, OSError: 3, NumericError: 4}
 
 
 def _detector_spec(args) -> DetectorSpec:
@@ -183,15 +183,8 @@ def cmd_report(args) -> int:
     if args.clean:
         clean = {}
         for path in args.clean:
-            try:
-                raw = Path(path).read_bytes()
-            except OSError as exc:
-                raise IoFailure(f"cannot read evaluation report {path}: {exc}") from exc
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-                raise DataError(f"{path}: not a UTF-8 JSON evaluation report: {exc}") from exc
-            report = harness.EvalReport.from_dict(payload)
+            raw = read_input(path, "evaluation report ")
+            report = harness.EvalReport.from_dict(json_loads(raw, path, "evaluation report"))
             clean[report.detector] = report
     rows = harness.robustness_table(records, clean=clean)
     print(harness.render_table(rows))
@@ -327,19 +320,14 @@ def main(argv: list[str] | None = None) -> int:
     parser, commands, head = build_parser()
     try:
         known, _ = head.parse_known_args(argv)
-        if known.config is not None:
+        # a command that is not a subcommand is argparse's to refuse, not the config file's
+        if known.config is not None and (known.command is None or known.command in commands):
             _apply_config_file(parser, commands, known.config, known.command)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

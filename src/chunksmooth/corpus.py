@@ -27,6 +27,7 @@ from .errors import (
     EmptyFile,
     FileTooLarge,
     IoFailure,
+    read_input,
 )
 from .pe import BuildPlan, SectionSpec, build_pe
 
@@ -41,10 +42,7 @@ _MANIFEST_HEADER = ["path", "label", "timestamp", "sha256"]
 
 def load_capped(path: str | Path, cap: int = SIZE_CAP) -> bytes:
     """Read one file whole, rejecting empty files and files over the cap."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    data = read_input(path)
     if len(data) == 0:
         raise EmptyFile(str(path))
     if len(data) > cap:

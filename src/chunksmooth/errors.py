@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the input policy.
 
 Three subfamilies map onto the CLI exit codes: configuration problems
 (exit 2), data problems (exit 3) and numeric failures (exit 4).
+
+Every file the package reads back crosses the same three steps, each of
+which fails with a DataError: read_input reads its bytes (IoFailure),
+json_loads decodes a JSON payload, and check_fields type-checks the
+object it gives.
 """
+
+import json
+import sys
+from pathlib import Path
 
 
 class ChunkSmoothError(Exception):
@@ -113,3 +122,43 @@ class NonFiniteLoss(NumericError):
 
 class OracleFailure(NumericError):
     """The black-box score oracle returned something unusable."""
+
+
+# -- the input boundary -------------------------------------------------------
+
+
+def read_input(path, what: str = "") -> bytes:
+    """The bytes of a file; `what` names the kind of input, with a
+    trailing space, in the IoFailure message."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what}{path}: {exc}") from exc
+
+
+def json_loads(raw: bytes, where: str, noun: str):
+    """The JSON value in raw, which must be UTF-8."""
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise DataError(f"{where}: not a UTF-8 JSON {noun}: {exc}") from exc
+
+
+def check_fields(obj, types: dict, what: str, optional=()) -> None:
+    """Refuse obj unless it is a JSON object holding each key of types,
+    bar the optional ones, with a value of that JSON type.  A bool is
+    never a number, an int is also a float, and no number lies beyond
+    the range of a double, which no caller could average or format."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    for key, kind in types.items():
+        if key not in obj:
+            if key in optional:
+                continue
+            raise DataError(f"{what} is missing {key!r}")
+        value = obj[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise DataError(f"{what} {key!r} is not a {kind.__name__}: {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise DataError(f"{what} {key!r} is beyond the range of a double")

@@ -19,7 +19,7 @@ import numpy as np
 from . import attacks, neural, pe, smoothing
 from .attacks import GaConfig
 from .corpus import LABEL_BENIGN, LABEL_MALICIOUS, CorpusManifest, ManifestEntry, load_capped
-from .errors import ConfigInvalid, DataError, EmptyCorpus, IoFailure
+from .errors import ConfigInvalid, EmptyCorpus, check_fields, json_loads, read_input
 from .smoothing import DetectorSpec
 
 # attack name -> (the config class that declares its knobs, the attack);
@@ -53,19 +53,8 @@ class EvalReport:
         """The report dataclasses.asdict gives; keys that are not fields
         are ignored.  A payload that is not an object, or lacks a field or
         holds one of the wrong JSON type, raises DataError."""
-        if not isinstance(d, dict):
-            raise DataError(f"evaluation report must be a JSON object, got {type(d).__name__}")
-        hints = typing.get_type_hints(cls)
-        values = {}
-        for f in fields(cls):
-            if f.name not in d:
-                raise DataError(f"evaluation report is missing field {f.name!r}")
-            want = hints[f.name]
-            value = d[f.name]
-            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
-                raise DataError(f"evaluation report field {f.name!r} is not a {want.__name__}: {value!r}")
-            values[f.name] = value
-        return cls(**values)
+        check_fields(d, typing.get_type_hints(cls), "evaluation report")
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def _confusion(truth: list[str], predicted: list[str]) -> tuple[int, int, int, int]:
@@ -308,20 +297,12 @@ def write_jsonl(records: list[dict], path: Path) -> None:
 def read_jsonl(path: Path) -> list[dict]:
     """One dict per non-blank line; a line that is not a UTF-8 JSON object
     raises DataError naming path:line."""
-    try:
-        lines = Path(path).read_bytes().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read records {path}: {exc}") from exc
     records = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_input(path, "records ").splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-            raise DataError(f"{path}:{lineno}: not a UTF-8 JSON record: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise DataError(f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}")
+        rec = json_loads(line, f"{path}:{lineno}", "record")
+        check_fields(rec, {}, f"{path}:{lineno}: record")
         records.append(rec)
     return records
 
@@ -342,7 +323,8 @@ class RobustnessRow:
     mean_queries: float
 
 
-_RECORD_KEYS = ("attack", "detector", "seed", "evaded", "queries")
+# the JSON types of the record keys that robustness_table reads
+_RECORD_TYPES = {"attack": str, "detector": str, "seed": int, "evaded": bool, "queries": int, "params": dict}
 
 
 def _params_key(params: dict) -> str:
@@ -359,9 +341,7 @@ def robustness_table(
     groups: dict[tuple[str, str, str], dict[int, list[dict]]] = {}
     params_by_key: dict[str, dict] = {}
     for i, rec in enumerate(records):
-        missing = [k for k in _RECORD_KEYS if k not in rec]
-        if missing:
-            raise DataError(f"attack record {i} lacks {', '.join(missing)}")
+        check_fields(rec, _RECORD_TYPES, f"attack record {i}", optional=("params",))
         pkey = _params_key(rec.get("params", {}))
         params_by_key[pkey] = rec.get("params", {})
         key = (rec["attack"], rec["detector"], pkey)

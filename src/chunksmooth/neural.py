@@ -28,11 +28,13 @@ from .ablation import ABLATE_TOKEN, VOCAB_SIZE
 from .errors import (
     BadMagic,
     DataError,
-    IoFailure,
     NonFiniteLoss,
     ShapeMismatch,
     TruncatedFile,
     VersionUnsupported,
+    check_fields,
+    json_loads,
+    read_input,
 )
 
 LOSS_EPS = 1e-7  # BCE clamp
@@ -422,10 +424,7 @@ def save_checkpoint(path: str | Path, params: MalConvParams, detector_meta: dict
 
 
 def load_checkpoint(path: str | Path) -> tuple[MalConvParams, dict]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = read_input(path, "checkpoint ")
     if len(raw) < 10:
         raise TruncatedFile(f"{path}: {len(raw)} bytes is too short for a header")
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -436,19 +435,16 @@ def load_checkpoint(path: str | Path) -> tuple[MalConvParams, dict]:
     blob_len = struct.unpack_from("<I", raw, 6)[0]
     if 10 + blob_len > len(raw):
         raise TruncatedFile(f"{path}: JSON block runs past end of file")
-    try:
-        meta = json.loads(raw[10 : 10 + blob_len].decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise DataError(f"{path}: meta block is not UTF-8 JSON: {exc}") from exc
+    meta = json_loads(raw[10 : 10 + blob_len], str(path), "meta block")
     m = meta.get("model") if isinstance(meta, dict) else None
     if not isinstance(m, dict):
         raise DataError(f"{path}: meta block has no model object")
-    dims = {}
-    for key in ("emb_dim", "n_filters", "window", "stride"):
-        value = m.get(key)
-        if type(value) is not int or value < 1:
-            raise DataError(f"{path}: model {key} must be an int >= 1, got {value!r}")
-        dims[key] = value
+    keys = ("emb_dim", "n_filters", "window", "stride")
+    check_fields(m, dict.fromkeys(keys, int), f"{path}: model")
+    dims = {key: m[key] for key in keys}
+    for key, value in dims.items():
+        if value < 1:
+            raise DataError(f"{path}: model {key} must be >= 1, got {value}")
     if dims["stride"] > dims["window"]:
         raise DataError(f"{path}: model stride {dims['stride']} exceeds window {dims['window']}")
     profile = ModelProfile(**dims)

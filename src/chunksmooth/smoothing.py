@@ -34,17 +34,17 @@ from .corpus import (
     CorpusManifest,
     load_capped,
 )
-from .errors import ConfigInvalid, DataError, EmptyCorpus, NotLengthPreserving, NotSca
+from .errors import ConfigInvalid, DataError, EmptyCorpus, NotLengthPreserving, NotSca, check_fields
 
 DETECTOR_KINDS = ("ns", "rs", "rca", "sca")
 
 VOTE_THRESHOLD = 0.5  # a view votes malicious at a score >= this
 
 
-# JSON types of the detector meta keys; bool is never taken for a number
+# JSON types of the detector meta keys; of these an ns block carries only "kind"
 _META_TYPES = {
     "kind": str,
-    "p": (int, float),
+    "p": float,
     "n_views": int,
     "seed": int,
 }
@@ -88,30 +88,16 @@ class DetectorSpec:
         is not an object, lacks a key, holds a value of the wrong JSON
         type or gives a pinned key another value raises DataError; a value
         out of range raises ConfigInvalid."""
-        if not isinstance(meta, dict):
-            raise DataError(f"detector meta must be a JSON object, got {type(meta).__name__}")
-        for key, kinds in _META_TYPES.items():
-            if key not in meta:
-                continue
-            value = meta[key]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise DataError(f"detector meta {key!r} has the wrong type: {value!r}")
+        check_fields(meta, _META_TYPES, "detector meta", optional=("p", "n_views", "seed"))
         for key, pinned in _PINNED_META.items():
             value = meta.get(key, pinned)
             if type(value) is not type(pinned) or value != pinned:
                 raise DataError(f"detector meta {key!r} must be {pinned!r}, got {value!r}")
-        try:
-            kind = meta["kind"]
-            ab = None
-            if kind != "ns":
-                ab = AblationConfig(
-                    scheme=kind,
-                    p=meta["p"],
-                    n_views=meta["n_views"],
-                    seed=meta.get("seed", 0),
-                )
-        except KeyError as exc:
-            raise DataError(f"detector meta is missing {exc.args[0]!r}") from exc
+        kind = meta["kind"]
+        if kind == "ns":
+            return DetectorSpec(kind=kind)
+        check_fields(meta, _META_TYPES, "detector meta", optional=("seed",))
+        ab = AblationConfig(scheme=kind, p=meta["p"], n_views=meta["n_views"], seed=meta.get("seed", 0))
         return DetectorSpec(kind=kind, ablation=ab)
 
 

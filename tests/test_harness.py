@@ -91,6 +91,7 @@ def test_eval_report_missing_field():
         ({**asdict(_report()), "n": 10.0}, "'n'"),
         ({**asdict(_report()), "tp": True}, "tp"),
         ({**asdict(_report()), "detector": None}, "detector"),
+        ({**asdict(_report()), "accuracy": 10**400}, "accuracy"),
     ],
 )
 def test_eval_report_rejects_wrong_types(payload, match):
@@ -855,6 +856,21 @@ def test_report_inputs_raise_data_errors(tmp_path):
         broken = [good[0], {k: v for k, v in good[1].items() if k != key}]
         with pytest.raises(DataError, match=key):
             robustness_table(broken)
+    # a value of the wrong JSON type is refused, naming the record and the
+    # key; "false" would otherwise count as an evasion
+    for key, value in (
+        ("queries", "x"),
+        ("queries", None),
+        ("seed", [1]),
+        ("attack", ["a"]),
+        ("params", [1, 2]),
+        ("params", "ab"),
+        ("detector", 1),
+        ("evaded", "false"),
+        ("queries", 10**400),
+    ):
+        with pytest.raises(DataError, match=f"record 1 {key!r}"):
+            robustness_table([good[0], {**good[1], key: value}])
 
 
 def test_cli_ns_warns_that_p_is_ignored(cli_env, tmp_path, capsys):
@@ -920,7 +936,7 @@ def test_cli_config_file_defaults_and_overrides(cli_env, tmp_path):
         assert cli.main(["--config", str(bad), *argv]) == 2
 
 
-def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
+def test_cli_global_seed_forwarding(tmp_path, monkeypatch, capsys):
     """--seed and --threads belong to the subcommands that take them: a
     config file's value gives way to the subcommand's flag, and the
     global form before the subcommand exits 2."""
@@ -951,10 +967,17 @@ def test_cli_global_seed_forwarding(tmp_path, monkeypatch):
     assert seen == [1, 2, 3]
 
     out_global = tmp_path / "global"
-    for argv in (["--seed", "7", "gen-corpus", "--out", str(out_global), *common], ["--threads", "2", *evaluate]):
+    for argv in (
+        ["--seed", "7", "gen-corpus", "--out", str(out_global), *common],
+        ["--threads", "2", *evaluate],
+        # the value of the global flag is no subcommand, and the valid config file is not to blame
+        ["--config", str(cfg), "--seed", "11", "gen-corpus", "--out", str(out_global), *common],
+    ):
+        capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+        assert "seed.cfg" not in capsys.readouterr().err
     assert seen == [1, 2, 3] and not out_global.exists()
 
 
@@ -1007,6 +1030,25 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
     evaluate = ["evaluate", "--model", str(cli_env["model"]), "--corpus", str(utf16_corpus)]
     assert cli.main(evaluate) == 3
 
+    # 3: an output the command cannot write
+    model, corpus_dir, no_dir = str(cli_env["model"]), str(cli_env["corpus"]), tmp_path / "no-such-dir"
+    records = tmp_path / "ok.jsonl"
+    harness.write_jsonl(_campaign_records("padding", "sca", {}, 0, 1, 0), records)
+    a_file = tmp_path / "a-file"
+    a_file.write_bytes(b"")
+    for argv in (
+        ["evaluate", "--model", model, "--corpus", corpus_dir, "--json", str(no_dir / "eval.json")],
+        ["report", str(records), "--csv", str(no_dir / "table.csv")],
+        [
+            "attack", "--model", model, "--corpus", corpus_dir, "--attack", "padding", "--n-files", "1",
+            "--population", "2", "--generations", "1", "--out", str(no_dir / "r.jsonl"),
+        ],
+        ["gen-corpus", "--out", str(a_file), "--n-files", "2"],
+    ):
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
     # 4: numeric failures surfaced by the oracle
     params, _ = neural.load_checkpoint(str(cli_env["model"]))
     params.fc_b[...] = np.nan
@@ -1033,6 +1075,55 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
     )
     assert rc == 4
     assert "error:" in capsys.readouterr().err
+
+
+# any JSON value; NaN and the infinities included, which json writes and reads back
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_DROP = object()
+
+
+def _mutated(obj: dict, key: str, value) -> dict:
+    """obj with key dropped (value _DROP) or set to value."""
+    return {k: v for k, v in obj.items() if k != key} if value is _DROP else {**obj, key: value}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    key=st.sampled_from(sorted(_campaign_records("padding", "sca", {}, 0, 1, 0)[0])),
+    value=st.just(_DROP) | _JSON_VALUES,
+    extra=st.lists(_JSON_VALUES, max_size=2),
+)
+def test_records_fuzz_exits_with_a_code(tmp_path, capsys, key, value, extra):
+    """Attack records with one key dropped or set to any JSON value, and
+    any JSON values as further lines, make report exit 0 or 3; never
+    raise."""
+    good = _campaign_records("padding", "sca", {"n_pad": 64}, 0, 2, 1)
+    lines = [good[0], _mutated(good[1], key, value), *extra]
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert cli.main(["report", str(path)]) in (0, 3)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    key=st.sampled_from([f.name for f in fields(EvalReport)]),
+    value=st.just(_DROP) | _JSON_VALUES,
+    whole=st.none() | _JSON_VALUES,
+)
+def test_clean_report_fuzz_exits_with_a_code(tmp_path, capsys, key, value, whole):
+    """An evaluation report with one field dropped or set to any JSON
+    value, or replaced whole by any JSON value, makes report --clean exit
+    0 or 3; never raise."""
+    records = tmp_path / "r.jsonl"
+    harness.write_jsonl(_campaign_records("padding", "sca", {}, 0, 1, 0), records)
+    clean = tmp_path / "eval.json"
+    payload = _mutated(asdict(_report()), key, value) if whole is None else whole
+    clean.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["report", str(records), "--clean", str(clean)]) in (0, 3)
 
 
 _CONFIG_SEEDS = (
