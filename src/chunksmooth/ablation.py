@@ -19,12 +19,12 @@ chunk schemes, l for rs.  The model right-pads an input shorter than its
 conv window to that window, so a view stack is always rectangular.
 
 A chunk scheme's views are an int64 array of starts plus their common
-length g (sca_starts, rca_starts).  Inference scores them straight from
-the file and the starts (neural.score_chunks), attack oracles find the
-conv columns an edit touched from the starts, and certify_inplace counts
-the windows a region touches from them (count_touching).  rs views have no
-starts: they are rows of one int32 token array (make_views), drawn and
-scored one block of views at a time.
+length g (sca_starts, rca_starts).  Predictions and attack oracles score
+them straight from the file and the starts (neural.ChunkScorer, which also
+finds the conv columns an edit touched from them), and certify_inplace
+counts the windows a region touches from them (count_touching).  rs views
+have no starts: they are rows of one int32 token array (make_views), drawn
+and scored one block of views at a time.
 
 The placement in the published pseudocode for the evenly spaced sampler
 is not offered.  Its formulas are internally inconsistent: the stride

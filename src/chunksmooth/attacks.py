@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, neural, pe, smoothing
-from .ablation import AblationConfig, sca_starts
+from . import neural, pe, smoothing
+from .ablation import sca_starts
 from .errors import (
     AlignmentUnsatisfiable,
     CapUnsatisfiable,
@@ -50,86 +50,39 @@ class DetectorOracle:
         return float(score), label
 
 
-class ColumnScores:
-    """The view scores of each query, recomputing only the conv columns
-    whose window covers a byte that changed since the previous query (the
-    sparse max-pool recomputation of Raff et al. 2021).  cfg is an sca
-    AblationConfig, or None for ns: one view of the whole file.
+def view_scorer(params, spec: smoothing.DetectorSpec):
+    """The view scores of each query to an oracle of spec, bitwise those
+    of predict_plain (ns) and view_scores.  ns and sca keep one
+    neural.ChunkScorer across queries, so a query rescores only the conv
+    columns whose bytes changed since the previous one; an ns file or sca
+    views shorter than the conv window go through predict_plain and
+    score_chunks without state.  rca and rs draw their views from the
+    query's content (smoothing.content_rng), so any edit redraws every
+    view: they score each query afresh."""
+    if spec.kind in ("rca", "rs"):
+        return lambda data: smoothing.view_scores(params, spec, data)[0]
+    chunks = neural.ChunkScorer(params)
+    window = params.profile.window
 
-    A cell is one (view, column) pair, with its window at start + stride*k.
-    The state is the previous query's bytes, its embedding and the gated
-    (cells, f) values.  A query of the same length re-embeds the changed
-    bytes, recomputes the changed cells (at least MIN_RESCORE_COLUMNS, or
-    all, so every GEMM runs on the full stack's kernel), and max-pools and
-    heads the views holding one; the max is exact, so every score is
-    bitwise a fresh prediction's.  A query of another length is scored
-    afresh; ns files and sca views shorter than the conv window are padded
-    and go through predict_plain and score_chunks, without state.
-    """
+    def scores(data: bytes) -> np.ndarray:
+        tokens = np.frombuffer(data, dtype=np.uint8)
+        if spec.kind == "sca":
+            starts, g = sca_starts(tokens.size, spec.ablation)
+            if g < window:
+                return neural.score_chunks(params, tokens, starts, g)
+            return neural.view_heads(params, chunks(tokens, starts, g))
+        if tokens.size < window:
+            return np.array([smoothing.predict_plain(params, data).score])
+        return np.array([neural.plain_head(params, chunks(tokens, np.zeros(1, np.int64), tokens.size)[0])])
 
-    def __init__(self, params, cfg: AblationConfig | None):
-        self.params = params
-        self.cfg = cfg
-        self._bytes = None
-
-    def __call__(self, data: bytes) -> np.ndarray:
-        p = self.params
-        pr = p.profile
-        new = np.frombuffer(data, dtype=np.uint8)
-        starts, g = (np.zeros(1, np.int64), new.size) if self.cfg is None else sca_starts(new.size, self.cfg)
-        if g < pr.window:
-            self._bytes = None
-            if self.cfg is None:
-                return np.array([smoothing.predict_plain(p, data).score])
-            return neural.score_chunks(p, new, starts, g)
-        if self._bytes is None or self._bytes.size != new.size:
-            self._xt = neural.embed(p, new).T  # (e, l), the array embed lays out
-            self._pos = (starts[:, None] + pr.stride * np.arange(neural.view_columns(pr, g))).ravel()
-            self._gated = np.empty((self._pos.size, pr.n_filters), dtype=p.dtype)
-            self._scores = np.empty(starts.size)
-            changed = np.ones(self._pos.size, dtype=bool)
-        else:
-            at = np.flatnonzero(new != self._bytes)
-            if not at.size:
-                return self._scores.copy()
-            # cs(x), the number of changed bytes before x, is searchsorted(at, x):
-            # the cell's window covers a changed byte when cs(pos + window) > cs(pos)
-            changed = np.searchsorted(at, self._pos + pr.window) > np.searchsorted(at, self._pos)
-            short = min(changed.size, neural.MIN_RESCORE_COLUMNS) - int(np.count_nonzero(changed))
-            if short > 0:
-                changed[np.flatnonzero(~changed)[:short]] = True
-            self._xt[:, at] = neural.embed(p, new[at]).T
-        self._bytes = new
-        cells = np.flatnonzero(changed)
-        bounds = neural.view_blocks(pr, cells.size, pr.window)  # one-column views, one GEMM per block
-        for lo, hi in zip(bounds, bounds[1:]):
-            a, b = kernels.conv_pair_views(
-                self._xt.T, self._pos[cells[lo:hi]], pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride
-            )
-            self._gated[cells[lo:hi]] = neural.gate(a[:, 0], b[:, 0])
-        views = changed.reshape(starts.size, -1).any(axis=1)
-        h = self._gated.reshape(starts.size, -1, pr.n_filters)[views].max(axis=1)
-        if self.cfg is None:
-            self._scores[views] = neural.plain_head(p, h[0])
-        else:
-            self._scores[views] = neural.view_heads(p, h)
-        return self._scores.copy()
+    return scores
 
 
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label, with the results of predict_plain
-    (ns) and predict_smoothed; for vote detectors the score is the
-    malicious vote share.  ns and sca rescore only the conv columns whose
-    bytes changed since the previous query (ColumnScores).  rca and rs
-    draw their views from the query's content (smoothing.content_rng), so
-    any edit redraws every view: they score each query afresh and keep no
-    state."""
-    if spec.kind in ("ns", "sca"):
-        scores_of = ColumnScores(params, spec.ablation)
-    else:
-
-        def scores_of(data: bytes):
-            return smoothing.view_scores(params, spec, data)[0]
+    (ns) and predict_smoothed, from the view scores of view_scorer; for
+    vote detectors the score is the malicious vote share."""
+    scores_of = view_scorer(params, spec)
 
     def fn(data: bytes):
         scores = scores_of(data)

@@ -61,12 +61,11 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigInvalid(f"--ratios expects three comma-separated fractions, got {text!r}")
     try:
-        a, b, c = (float(p) for p in parts)
+        ratios = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigInvalid(f"--ratios expects numbers, got {text!r}") from exc
-    if min(a, b, c) < 0 or abs(a + b + c - 1.0) > 1e-9:
-        raise ConfigInvalid(f"split ratios must be non-negative and sum to 1, got {text!r}")
-    return (a, b, c)
+    corpus.check_ratios(ratios)
+    return ratios
 
 
 def cmd_gen_corpus(args) -> int:

@@ -122,6 +122,13 @@ def read_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(entries=entries, root=path.parent)
 
 
+def check_ratios(ratios: tuple[float, ...]) -> None:
+    """Raise ConfigInvalid unless ratios are three non-negatives summing to
+    1; written so that NaN, for which every comparison is False, fails."""
+    if not (len(ratios) == 3 and all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ConfigInvalid(f"split ratios must be three non-negatives summing to 1, got {ratios}")
+
+
 def temporal_split(
     manifest: CorpusManifest, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
 ) -> tuple[CorpusManifest, CorpusManifest, CorpusManifest]:
@@ -130,8 +137,7 @@ def temporal_split(
     Ordering is by (timestamp, sha256): the digest tie-break makes the
     split a pure function of the manifest contents, not of entry order.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigInvalid(f"split ratios must be three non-negatives summing to 1, got {ratios}")
+    check_ratios(ratios)
     if not manifest.entries:
         raise EmptyCorpus("cannot split an empty manifest")
     ordered = sorted(manifest.entries, key=lambda e: (e.timestamp, e.sha256))

@@ -203,12 +203,6 @@ def view_heads(params: MalConvParams, h: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
 
 
-def _pooled_scores(params: MalConvParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gate, max-pool and head of a stack of views' pre-activations
-    (n, j, f) -> n scores."""
-    return view_heads(params, gate(a, b).max(axis=1))
-
-
 def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
     """Scores of a 2-D stack of views (n, t) of one length, in one batched
     conv call.  Views shorter than the conv window are right-padded to it
@@ -223,7 +217,7 @@ def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
     xs = embed(params, tokens)
     del tokens  # not live during the GEMM
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
-    return _pooled_scores(params, a, b)
+    return view_heads(params, gate(a, b).max(axis=1))
 
 
 # A block of views is scored by one forward_scores call whose im2col matrix
@@ -277,27 +271,75 @@ def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> np.
     return np.concatenate([forward_scores(params, rows(a, b)) for a, b in zip(bounds, bounds[1:])])
 
 
+class ChunkScorer:
+    """The pooled vectors (L, f) of the chunk views tokens[s : s+g] of one
+    file, for s in starts and g of at least the conv window; the caller
+    applies the head.  A cell is one (view, conv column) pair, whose window
+    starts at start + stride*k.  The file is embedded once, and the cells
+    go through one conv_pair_views GEMM per block of one-column views
+    (view_blocks), so the result is bitwise score_views'.
+
+    It keeps the last call's tokens, embedding and gated (cells, f) values.
+    A call with the same starts and g on a file of the same length
+    recomputes only the cells whose window covers a changed token (the
+    sparse max-pool recomputation of Raff et al. 2021), padded to
+    MIN_RESCORE_COLUMNS cells or all, and pools again the views holding
+    one: bitwise a fresh call, since the max is exact.  Any other call
+    starts afresh."""
+
+    def __init__(self, params: MalConvParams):
+        self.params = params
+        self._tokens = None
+
+    def __call__(self, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
+        pr = self.params.profile
+        same = self._tokens is not None and self._tokens.size == tokens.size and self._g == g
+        if not (same and np.array_equal(self._starts, starts)):
+            self._tokens = tokens.copy()
+            self._starts, self._g = starts.copy(), g
+            self._xt = embed(self.params, tokens).T  # (e, l), the array embed lays out
+            self._pos = (starts[:, None] + pr.stride * np.arange(view_columns(pr, g))).ravel()
+            self._gated = np.empty((self._pos.size, pr.n_filters), dtype=self.params.dtype)
+            bounds = view_blocks(pr, self._pos.size, pr.window)
+            for lo, hi in zip(bounds, bounds[1:]):
+                self._gated[lo:hi] = self._gates(self._pos[lo:hi])
+            self._pooled = self._gated.reshape(starts.size, -1, pr.n_filters).max(axis=1)
+            return self._pooled.copy()
+        at = np.flatnonzero(tokens != self._tokens)
+        if not at.size:
+            return self._pooled.copy()
+        # cs(x), the number of changed tokens before x, is searchsorted(at, x):
+        # the cell's window covers a changed token when cs(pos + window) > cs(pos)
+        changed = np.searchsorted(at, self._pos + pr.window) > np.searchsorted(at, self._pos)
+        short = min(changed.size, MIN_RESCORE_COLUMNS) - int(np.count_nonzero(changed))
+        if short > 0:
+            changed[np.flatnonzero(~changed)[:short]] = True
+        self._tokens = tokens.copy()  # a copy costs less than scattering the changed tokens
+        self._xt[:, at] = embed(self.params, tokens[at]).T
+        cells = np.flatnonzero(changed)
+        bounds = view_blocks(pr, cells.size, pr.window)
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._gated[cells[lo:hi]] = self._gates(self._pos[cells[lo:hi]])
+        views = changed.reshape(starts.size, -1).any(axis=1)
+        self._pooled[views] = self._gated.reshape(starts.size, -1, pr.n_filters)[views].max(axis=1)
+        return self._pooled.copy()
+
+    def _gates(self, pos: np.ndarray) -> np.ndarray:
+        """Gated activations (n, f) of the one-column views at pos."""
+        p, pr = self.params, self.params.profile
+        a, b = kernels.conv_pair_views(self._xt.T, pos, pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride)
+        return gate(a[:, 0], b[:, 0])
+
+
 def score_chunks(params: MalConvParams, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
     """Scores of the chunk views tokens[s : s+g] of one file, for s in
-    starts; bitwise score_views of those views.
-
-    The file is embedded once and every block of views (view_blocks, so
-    each GEMM has the row count it has in score_views) takes its conv
-    columns from that one embedding by start offset.  Views shorter than
-    the conv window are padded, so each block of them is gathered from the
+    starts; bitwise score_views of those views.  Views shorter than the
+    conv window are padded, so each block of them is gathered from the
     file and goes through score_views."""
-    pr = params.profile
-    if g < pr.window:
+    if g < params.profile.window:
         windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
         return score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]])
-    x = embed(params, tokens)
-    bounds = view_blocks(pr, starts.size, g)
-    return np.concatenate([
-        _pooled_scores(params, *kernels.conv_pair_views(
-            x, starts[a:b], g, params.wa, params.ba, params.wb, params.bb, pr.stride
-        ))
-        for a, b in zip(bounds, bounds[1:])
-    ])
+    return view_heads(params, ChunkScorer(params)(tokens, starts, g))
 
 
 def bce_loss(score: float, label: int) -> float:

@@ -239,8 +239,7 @@ def certify_inplace(
     a, b = edit_region
     if not (0 <= a <= b <= pred.file_len):
         raise NotLengthPreserving(f"edit region {edit_region} not inside [0, {pred.file_len}]")
-    starts, g = sca_starts(pred.file_len, AblationConfig(scheme="sca", p=pred.p, n_views=pred.n_views))
-    touched = count_touching(starts, g, edit_region)
+    touched = count_touching(np.asarray(pred.starts), pred.g, edit_region)
     margin = pred.margin
     if pred.label == LABEL_MALICIOUS:
         certified = margin >= 2 * touched

@@ -249,6 +249,10 @@ def test_temporal_split_rejects_bad_ratios():
         temporal_split(m, (0.5, 0.5, 0.5))
     with pytest.raises(ConfigInvalid):
         temporal_split(m, (1.2, -0.1, -0.1))
+    # every comparison with NaN is False: a NaN ratio passes a check written as "< 0 or > tolerance"
+    for ratios in ((float("nan"), 0.0, 1.0), (0.5, 0.5, float("nan")), (float("inf"), 0.0, 0.0)):
+        with pytest.raises(ConfigInvalid):
+            temporal_split(m, ratios)
     with pytest.raises(EmptyCorpus):
         temporal_split(CorpusManifest(entries=()))
 

@@ -984,6 +984,8 @@ def test_cli_global_seed_forwarding(tmp_path, monkeypatch, capsys):
 def test_cli_exit_codes(cli_env, tmp_path, capsys):
     # 2: configuration problems
     assert cli.main(["gen-corpus", "--out", str(tmp_path / "x"), "--ratios", "0.5,0.5,0.5"]) == 2
+    assert cli.main(["gen-corpus", "--out", str(tmp_path / "x"), "--ratios", "nan,0,1"]) == 2
+    assert not (tmp_path / "x").exists()
     assert cli.main(["--config", str(tmp_path / "missing.cfg"), "gen-corpus", "--out", "x"]) == 2
     not_utf8 = tmp_path / "utf16.cfg"
     not_utf8.write_bytes(b"\xff\xfe" + "n-files = 6\n".encode("utf-16-le"))

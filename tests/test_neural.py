@@ -284,6 +284,36 @@ def test_rs_views_are_drawn_and_scored_one_block_at_a_time(profile, n_views, fil
     np.testing.assert_array_equal(scores, want)
 
 
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_chunk_scorer_keys_its_state_on_starts_and_g(profile):
+    """One scorer, called in turn with two starts arrays of one g, on a
+    file and on an edited copy, then with another g: every call is bitwise
+    a fresh score_views of its views.  A scorer that kept its cells across
+    calls on files of one length would pool the other starts' cells."""
+    params = init_params(profile, seed=13)
+    rng = np.random.default_rng(13)
+    file_len, g = 20_000, 1500
+    data = rng.integers(0, 256, size=file_len, dtype=np.uint8)
+    edited = data.copy()
+    edited[7000:7010] ^= 0xFF
+    first = np.sort(rng.integers(0, file_len - g + 1, size=20))
+    second = np.sort(rng.integers(0, file_len - g + 1, size=20))
+    scorer = neural.ChunkScorer(params)
+    for tokens, starts, n in (
+        (data, first, g),
+        (data, second, g),
+        (data, first, g),
+        (edited, first, g),
+        (edited, second, g),
+        (edited, second, g + profile.stride),
+        (data, second, g + profile.stride),
+        (data, second, g),
+    ):
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, n)
+        want = neural.score_views(params, starts.size, n, lambda a, b: windows[starts[a:b]])
+        np.testing.assert_array_equal(neural.view_heads(params, scorer(tokens, starts, n)), want)
+
+
 # -- loss --------------------------------------------------------------------------
 
 
