@@ -5,6 +5,10 @@ file, scores candidates through a query-counting oracle, and minimizes
 the maliciousness score.  The GA replaces gradient payload optimization
 because vote-based detectors are not differentiable; using the same
 optimizer against the plain detector keeps comparisons like-for-like.
+An oracle (make_oracle) scores its queries through one
+smoothing.view_scorer, which rescores only the conv columns a query
+changed when its views' starts and length stay those of the query
+before it.
 
 Structural contracts every attack keeps:
 * the adversarial file still parses;
@@ -20,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural, pe, smoothing
-from .ablation import sca_starts
+from . import pe, smoothing
 from .errors import (
     AlignmentUnsatisfiable,
     CapUnsatisfiable,
@@ -50,42 +53,15 @@ class DetectorOracle:
         return float(score), label
 
 
-def view_scorer(params, spec: smoothing.DetectorSpec):
-    """The view scores of each query to an oracle of spec, bitwise those
-    of predict_plain (ns) and view_scores.  ns and sca keep one
-    neural.ChunkScorer across queries, so a query rescores only the conv
-    columns whose bytes changed since the previous one; an ns file or sca
-    views shorter than the conv window go through predict_plain and
-    score_chunks without state.  rca and rs draw their views from the
-    query's content (smoothing.content_rng), so any edit redraws every
-    view: they score each query afresh."""
-    if spec.kind in ("rca", "rs"):
-        return lambda data: smoothing.view_scores(params, spec, data)[0]
-    chunks = neural.ChunkScorer(params)
-    window = params.profile.window
-
-    def scores(data: bytes) -> np.ndarray:
-        tokens = np.frombuffer(data, dtype=np.uint8)
-        if spec.kind == "sca":
-            starts, g = sca_starts(tokens.size, spec.ablation)
-            if g < window:
-                return neural.score_chunks(params, tokens, starts, g)
-            return neural.view_heads(params, chunks(tokens, starts, g))
-        if tokens.size < window:
-            return np.array([smoothing.predict_plain(params, data).score])
-        return np.array([neural.plain_head(params, chunks(tokens, np.zeros(1, np.int64), tokens.size)[0])])
-
-    return scores
-
-
 def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label, with the results of predict_plain
-    (ns) and predict_smoothed, from the view scores of view_scorer; for
-    vote detectors the score is the malicious vote share."""
-    scores_of = view_scorer(params, spec)
+    (ns) and predict_smoothed, from the view scores of one
+    smoothing.view_scorer kept across queries; for vote detectors the
+    score is the malicious vote share."""
+    scores_of = smoothing.view_scorer(params, spec)
 
     def fn(data: bytes):
-        scores = scores_of(data)
+        scores = scores_of(data)[0]
         # ns is one view, whose vote is predict_plain's label
         _, probabilities, label = smoothing.tally_votes(scores)
         return (scores[0] if spec.kind == "ns" else probabilities[LABEL_MALICIOUS]), label

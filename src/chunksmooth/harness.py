@@ -92,6 +92,8 @@ def evaluate(
     """Confusion metrics over a manifest. Thread-safe and order-stable:
     randomized detectors draw per-content generators, so the thread
     count never changes a prediction."""
+    if threads < 1:
+        raise ConfigInvalid(f"threads must be >= 1, got {threads}")
     if not manifest.entries:
         raise EmptyCorpus("nothing to evaluate")
     paths = [manifest.resolve(e) for e in manifest.entries]

@@ -262,7 +262,8 @@ def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> np.
     """Scores of n_views views of n_tokens tokens, one forward_scores call
     per block (view_blocks).  rows(a, b) returns views [a, b) as a 2-D
     stack and is called once per block, for consecutive blocks in order, so
-    only one block of views need exist at a time.
+    only one block of views need exist at a time.  smoothing.view_scorer
+    scores rs views, and chunk views shorter than the conv window, here.
 
     Bitwise the scores of one forward_scores call on the whole stack, since
     a view's score depends on its own tokens only and every block runs on
@@ -329,17 +330,6 @@ class ChunkScorer:
         p, pr = self.params, self.params.profile
         a, b = kernels.conv_pair_views(self._xt.T, pos, pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride)
         return gate(a[:, 0], b[:, 0])
-
-
-def score_chunks(params: MalConvParams, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
-    """Scores of the chunk views tokens[s : s+g] of one file, for s in
-    starts; bitwise score_views of those views.  Views shorter than the
-    conv window are padded, so each block of them is gathered from the
-    file and goes through score_views."""
-    if g < params.profile.window:
-        windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
-        return score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]])
-    return view_heads(params, ChunkScorer(params)(tokens, starts, g))
 
 
 def bce_loss(score: float, label: int) -> float:
@@ -497,9 +487,11 @@ def load_checkpoint(path: str | Path) -> tuple[MalConvParams, dict]:
         raise TruncatedFile(f"{path}: tensor payload is {len(body)} bytes, expected {need}")
     tensors = []
     off = 0
-    for shape in shapes:
+    for name, shape in zip(TENSOR_FIELDS, shapes):
         count = math.prod(shape)
         arr = np.frombuffer(body, dtype="<f4", count=count, offset=off).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor {name} holds a non-finite value")
         tensors.append(arr.astype(np.float32))
         off += count * 4
     params = MalConvParams(profile, *tensors)

@@ -145,28 +145,46 @@ def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     return PlainPrediction(score=score, label=label)
 
 
-def view_scores(
-    params: neural.MalConvParams,
-    spec: DetectorSpec,
-    data: bytes,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """The scores of the L views a smoothed detector votes over, with the
-    views' starts and length g.  rca and rs draw their views from
-    content_rng unless given an rng; sca's are a pure function of
-    len(data).  Chunk views are scored from the file and their starts
-    (neural.score_chunks); rs views, which have no starts (None), are drawn
-    and scored one block at a time (neural.score_views)."""
-    if spec.kind == "ns":
-        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
-    cfg = spec.ablation
-    if rng is None and cfg.scheme != "sca":
-        rng = content_rng(cfg.seed, data)
-    if cfg.scheme == "rs":
-        rows = lambda a, b: make_views(data, replace(cfg, n_views=b - a), rng)
-        return neural.score_views(params, cfg.n_views, len(data), rows), None, len(data)
-    starts, g = sca_starts(len(data), cfg) if cfg.scheme == "sca" else rca_starts(len(data), cfg, rng)
-    return neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g), starts, g
+def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
+    """scores(data) -> (scores, starts, g): the scores of the views spec's
+    detector votes over, with the views' starts and length g.  This is
+    the one place that maps a detector to its views and their scorer.
+
+    ns is one view of the whole file (starts [0], g its length), scored
+    as forward scores it.  sca's starts are a pure function of len(data);
+    rca and rs draw their views from content_rng on every call.  Chunk
+    views of at least the conv window go through one neural.ChunkScorer
+    kept across calls, so a call on a file of the same length and starts
+    rescores only the conv columns whose bytes changed; shorter chunk
+    views are gathered from the file and rs views (starts None) drawn one
+    block at a time, and both go through neural.score_views.  Every call
+    is bitwise a fresh one."""
+    cfg, window = spec.ablation, params.profile.window
+    chunks = neural.ChunkScorer(params)
+
+    def scores(data: bytes) -> tuple[np.ndarray, np.ndarray | None, int]:
+        tokens = np.frombuffer(data, dtype=np.uint8)
+        if spec.kind == "ns":
+            starts = np.zeros(1, dtype=np.int64)
+            if tokens.size < window:
+                score = neural.forward(params, tokens).score
+            else:
+                score = neural.plain_head(params, chunks(tokens, starts, tokens.size)[0])
+            return np.array([score]), starts, tokens.size
+        if spec.kind == "rs":
+            rng = content_rng(cfg.seed, data)
+            rows = lambda a, b: make_views(data, replace(cfg, n_views=b - a), rng)
+            return neural.score_views(params, cfg.n_views, tokens.size, rows), None, tokens.size
+        if spec.kind == "sca":
+            starts, g = sca_starts(tokens.size, cfg)
+        else:
+            starts, g = rca_starts(tokens.size, cfg, content_rng(cfg.seed, data))
+        if g < window:
+            windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
+            return neural.score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]]), starts, g
+        return neural.view_heads(params, chunks(tokens, starts, g)), starts, g
+
+    return scores
 
 
 def tally_votes(scores: np.ndarray) -> tuple[dict[str, int], dict[str, float], str]:
@@ -180,13 +198,10 @@ def tally_votes(scores: np.ndarray) -> tuple[dict[str, int], dict[str, float], s
     return votes, probabilities, label
 
 
-def predict_smoothed(
-    params: neural.MalConvParams,
-    spec: DetectorSpec,
-    data: bytes,
-    rng: np.random.Generator | None = None,
-) -> SmoothedPrediction:
-    scores, starts, g = view_scores(params, spec, data, rng)
+def predict_smoothed(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> SmoothedPrediction:
+    if spec.kind == "ns":
+        raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
+    scores, starts, g = view_scorer(params, spec)(data)
     votes, probabilities, label = tally_votes(scores)
     return SmoothedPrediction(
         kind=spec.kind,
@@ -207,7 +222,7 @@ def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> st
     smoothed path is predict_smoothed without its view arrays."""
     if spec.kind == "ns":
         return predict_plain(params, data).label
-    return tally_votes(view_scores(params, spec, data)[0])[2]
+    return tally_votes(view_scorer(params, spec)(data)[0])[2]
 
 
 # -- certification -----------------------------------------------------------------

@@ -167,28 +167,33 @@ def test_oracle_counts_queries_and_rejects_non_finite():
 
 def test_make_oracle_matches_direct_predictions():
     """Every detector's oracle gives the direct prediction's score and
-    label, query after query: ns on a file and on one shorter than the conv
-    window, and each vote detector on a file and then on an edited copy,
-    so no state of the first query leaks into the second."""
+    label, query after query, through the scorer it keeps: ns on a file, an
+    unchanged repeat, a file shorter than the conv window and a return to
+    the first; each vote detector on a file, an unchanged repeat, an edited
+    copy and a return to the first, so no state of one query leaks into
+    the next (rca's starts change with the edit and come back with the
+    return)."""
     params = neural.init_params(neural.PROFILES["desk"], seed=20)
     data = bytes(np.random.default_rng(20).integers(0, 256, size=2048, dtype=np.uint8))
     edited = data[:1000] + bytes([(data[1000] + 1) % 256]) + data[1001:]
+    short = data[: params.profile.window - 1]
 
     ns = make_oracle(params, smoothing.DetectorSpec(kind="ns"))
-    for query in (data, data[: params.profile.window - 1]):
+    for query in (data, data, short, data):
         score, label = ns(query)
         plain = smoothing.predict_plain(params, query)
         assert (score, label) == (plain.score, plain.label)
+    assert ns.query_count == 4
 
     for kind in ("sca", "rca", "rs"):
         spec = smoothing.DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=20))
         vote = make_oracle(params, spec)
-        for query in (data, edited):
+        for query in (data, data, edited, data):
             score, label = vote(query)
             pred = smoothing.predict_smoothed(params, spec, query)
             assert score == pred.probabilities[LABEL_MALICIOUS]
             assert label == pred.label
-        assert vote.query_count == 2
+        assert vote.query_count == 4
 
 
 def _fresh_scores(params, cfg, data):
@@ -219,13 +224,13 @@ def test_view_scores_rescoring_matches_full_stack(columns):
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=L)
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert [w.start for w in sca_windows(len(data), cfg)] == [i * g for i in range(L)]
-    scores = attacks.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
-    np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
+    scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
+    np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
     for k in list(range(1, L + 1)) * 2:
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
-        got = scores(data)
+        got = scores(data)[0]
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
-    np.testing.assert_array_equal(scores(data), got)  # nothing changed
+    np.testing.assert_array_equal(scores(data)[0], got)  # nothing changed
 
 
 def test_view_scores_rescoring_matches_full_stack_across_blocks():
@@ -240,11 +245,11 @@ def test_view_scores_rescoring_matches_full_stack_across_blocks():
     cfg = AblationConfig(scheme="sca", p=0.01, n_views=L)
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert neural.view_blocks(params.profile, L, g) == [0, 88, 100]
-    scores = attacks.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
-    np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
+    scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
+    np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
     for k in (1, 12, 50, 89, 100):
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
-        np.testing.assert_array_equal(scores(data), _fresh_scores(params, cfg, data))
+        np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
 
 
 def _rescored_cells(monkeypatch):
@@ -293,7 +298,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
     data = rng.integers(0, 256, size=40_000, dtype=np.uint8).tobytes()
     windows = sca_windows(len(data), cfg)
     cells = _cells(pr, [w.start for w in windows], len(windows[0]))
-    scores = attacks.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
+    scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
     seen = _rescored_cells(monkeypatch)
     scores(data)
     padded = 0
@@ -303,7 +308,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
             edited[a:b] = bytes((x + 1) % 256 for x in edited[a:b])
         data = bytes(edited)
         seen.clear()
-        got = scores(data)
+        got = scores(data)[0]
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
         touched = _touching_cells(cells, pr.window, runs)
         views = set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1]))
@@ -312,7 +317,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
         padded += len(touched) < neural.MIN_RESCORE_COLUMNS
     assert padded  # at least one edit touched fewer cells than the floor
     seen.clear()
-    np.testing.assert_array_equal(scores(data), got)
+    np.testing.assert_array_equal(scores(data)[0], got)
     assert seen == []
 
 
@@ -323,17 +328,17 @@ def test_view_scores_scores_a_query_of_another_length_afresh():
     rng = np.random.default_rng(24)
     cfg = AblationConfig(scheme="sca", p=0.05, n_views=100)
     data = rng.integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
-    scores = attacks.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
+    scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
     for query in (data, data + bytes(64), data[:-1] + b"x", data[:5000], data):
-        np.testing.assert_array_equal(scores(query), _fresh_scores(params, cfg, query))
+        np.testing.assert_array_equal(scores(query)[0], _fresh_scores(params, cfg, query))
 
 
 def _fresh_view_scores(params, spec, data):
     """The view scores of data as the fresh predictions give them: ns's
-    predict_plain score, or sca's view_scores."""
+    predict_plain score, or sca's from a fresh view_scorer."""
     if spec.kind == "ns":
         return np.array([smoothing.predict_plain(params, data).score])
-    return smoothing.view_scores(params, spec, data)[0]
+    return smoothing.view_scorer(params, spec)(data)[0]
 
 
 def _spec(kind):
@@ -360,11 +365,11 @@ def test_column_scores_match_fresh_predictions_query_by_query(monkeypatch, kind,
     many = bytes(rng.integers(0, 256, size=20_000, dtype=np.uint8)) + one_byte[20_000:]
     short = data[: pr.window - 1] if kind == "ns" else data[: 20 * (pr.window - 1)]  # g = window - 1 at p=0.05
     assert kind == "ns" or sca_starts(len(short), spec.ablation)[1] == pr.window - 1
-    scores = attacks.view_scorer(params, spec)
+    scores = smoothing.view_scorer(params, spec)
     seen = _rescored_cells(monkeypatch)
     for i, query in enumerate((data, data, one_byte, many, data + bytes(7), short, data)):
         seen.clear()
-        got = scores(query)
+        got = scores(query)[0]
         gemms = [len(s) for s in seen]
         np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
         if i == 1:
@@ -399,11 +404,11 @@ def test_column_scores_match_fresh_predictions_over_ga_runs(kind, profile, victi
         (attack_padding, PaddingConfig(n_pad=2000, ga=ga)),
         (attack_shift, ShiftConfig(extension=1024, ga=ga)),
     ):
-        scores = attacks.view_scorer(params, spec)
+        scores = smoothing.view_scorer(params, spec)
         checked = []
 
         def fn(query):
-            got = scores(query)
+            got = scores(query)[0]
             np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
             checked.append(query)
             return MAL

@@ -317,7 +317,7 @@ def test_prediction_record_matches_view_scores(profile, length, n_views):
     data = np.random.default_rng(g).integers(0, 256, size=20 * g, dtype=np.uint8).tobytes()
     for kind in ("sca", "rca", "rs"):
         spec = smoothing.DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
-        scores, starts, view_len = smoothing.view_scores(params, spec, data)
+        scores, starts, view_len = smoothing.view_scorer(params, spec)(data)
         assert view_len == (len(data) if kind == "rs" else g)
         scores = [float(s) for s in scores]
         votes, probabilities, label = tally_oracle(scores)
@@ -806,6 +806,24 @@ def test_checkpoint_vote_keys_are_pinned(key, value, tmp_path, capsys):
     assert key in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("checkpoint", [_NS_BIN, _SCA_BIN], ids=["ns", "sca"])
+def test_cli_refuses_a_checkpoint_with_non_finite_weights(checkpoint, tmp_path, capsys):
+    """A NaN weight would label every file and write "score": NaN, which is
+    not JSON: classify exits 3, names the tensor and writes no record."""
+    meta, _ = _meta_of(checkpoint)
+    raw = bytearray(checkpoint)
+    struct.pack_into("<f", raw, len(raw) - 4 * (1 + meta["model"]["n_filters"]), float("nan"))  # fc_w[0]
+    model = tmp_path / "model.bin"
+    model.write_bytes(bytes(raw))
+    target = tmp_path / "target.bin"
+    target.write_bytes(bytes(range(256)) * 8)
+    out = tmp_path / "out.json"
+    assert cli.main(["classify", "--model", str(model), "--json", str(out), str(target)]) == 3
+    captured = capsys.readouterr()
+    assert "tensor fc_w" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 _MISSING = object()
 
 
@@ -993,6 +1011,11 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
     train = ["train", "--corpus", str(cli_env["corpus"]), "--out", str(tmp_path / "m.bin")]
     assert cli.main([*train, "--n-views", str(MAX_VIEWS + 1)]) == 2
     assert not (tmp_path / "x").exists() and not (tmp_path / "m.bin").exists()
+    for threads in ("0", "-3"):
+        eval_json = tmp_path / "threads.json"
+        argv = ["evaluate", "--model", str(cli_env["model"]), "--corpus", str(cli_env["corpus"])]
+        assert cli.main([*argv, "--threads", threads, "--json", str(eval_json)]) == 2
+        assert not eval_json.exists()
     assert (
         cli.main(
             [
@@ -1051,32 +1074,40 @@ def test_cli_exit_codes(cli_env, tmp_path, capsys):
         assert cli.main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
-    # 4: numeric failures surfaced by the oracle
+    # 3: a checkpoint holding a non-finite weight is refused at load;
+    # 4: numeric failures surfaced by the oracle, here from finite weights
+    # whose conv overflows (inf pre-activations times gates of exactly 0)
     params, _ = neural.load_checkpoint(str(cli_env["model"]))
-    params.fc_b[...] = np.nan
-    nan_model = tmp_path / "nan.bin"
-    neural.save_checkpoint(str(nan_model), params, smoothing.DetectorSpec(kind="ns").meta())
-    rc = cli.main(
-        [
-            "attack",
-            "--model",
-            str(nan_model),
-            "--corpus",
-            str(cli_env["corpus"]),
-            "--attack",
-            "padding",
-            "--n-files",
-            "1",
-            "--population",
-            "2",
-            "--generations",
-            "1",
-            "--out",
-            str(tmp_path / "nan.jsonl"),
-        ]
-    )
-    assert rc == 4
-    assert "error:" in capsys.readouterr().err
+    nan_params = params.copy()
+    nan_params.fc_b[...] = np.nan
+    overflow = params.copy()
+    overflow.emb[...] = 1.0
+    overflow.wa[...] = 3e38
+    overflow.wb[...] = -3e38
+    for bad, code in ((nan_params, 3), (overflow, 4)):
+        bad_model = tmp_path / "bad.bin"
+        neural.save_checkpoint(str(bad_model), bad, smoothing.DetectorSpec(kind="ns").meta())
+        rc = cli.main(
+            [
+                "attack",
+                "--model",
+                str(bad_model),
+                "--corpus",
+                str(cli_env["corpus"]),
+                "--attack",
+                "padding",
+                "--n-files",
+                "1",
+                "--population",
+                "2",
+                "--generations",
+                "1",
+                "--out",
+                str(tmp_path / "bad.jsonl"),
+            ]
+        )
+        assert rc == code
+        assert "error:" in capsys.readouterr().err
 
 
 # any JSON value; NaN and the infinities included, which json writes and reads back

@@ -34,7 +34,7 @@ from chunksmooth.neural import (
     save_checkpoint,
     train_step,
 )
-from chunksmooth.smoothing import DetectorSpec, content_rng, predict_smoothed, view_scores
+from chunksmooth.smoothing import DetectorSpec, content_rng, predict_smoothed, view_scorer
 
 DESK = neural.PROFILES["desk"]
 
@@ -218,13 +218,11 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     want = forward_scores(params, tokens)
     got = neural.score_views(params, n_views, view_len, lambda a, b: tokens[a:b])
     np.testing.assert_array_equal(got, want)
-    scores, starts, g = view_scores(params, spec, data)
+    scores, starts, g = view_scorer(params, spec)(data)
     np.testing.assert_array_equal(scores, want)
     np.testing.assert_array_equal(predict_smoothed(params, spec, data).scores, want)
     if kind != "rs":
         assert g == view_len and starts.size == n_views
-        chunks = neural.score_chunks(params, np.frombuffer(data, dtype=np.uint8), starts, g)
-        np.testing.assert_array_equal(chunks, want)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +275,7 @@ def test_rs_views_are_drawn_and_scored_one_block_at_a_time(profile, n_views, fil
         return forward_scores(p, block)
 
     monkeypatch.setattr(neural, "forward_scores", counted)
-    scores, starts, g = view_scores(params, spec, data)
+    scores, starts, g = view_scorer(params, spec)(data)
     assert starts is None and g == file_len
     assert [len(b) for b in blocks] == [b - a for a, b in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.concatenate(blocks), views)
@@ -583,6 +581,19 @@ def test_checkpoint_meta_block_sanity(tmp_path):
     assert params.profile == DESK and meta["model"] == _DESK_MODEL
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", neural.TENSOR_FIELDS)
+def test_checkpoint_rejects_non_finite_weights(tmp_path, name, value):
+    """A tensor holding NaN or an infinity gives non-finite scores, which
+    no JSON record can hold: the checkpoint is refused, naming the tensor."""
+    params = init_params(DESK, seed=24)
+    getattr(params, name).flat[-1] = value
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, params)
+    with pytest.raises(DataError, match=f"tensor {name} "):
+        load_checkpoint(path)
+
+
 _SCA_BIN = (Path(__file__).resolve().parents[1] / "perfbench" / "models" / "sca.bin").read_bytes()
 _SCA_HEAD = 10 + struct.unpack_from("<I", _SCA_BIN, 6)[0]  # header plus JSON block
 
@@ -596,7 +607,8 @@ _SCA_HEAD = 10 + struct.unpack_from("<I", _SCA_BIN, 6)[0]  # header plus JSON bl
 )
 def test_checkpoint_fuzz_loads_or_raises_typed_errors(tmp_path, edits, cut):
     """Byte-mutated (and optionally truncated) copies of a trained checkpoint
-    load to a model and detector spec, or fail with a ChunkSmoothError."""
+    load to a model of finite weights and a detector spec, or fail with a
+    ChunkSmoothError."""
     raw = bytearray(_SCA_BIN)
     for pos, byte in edits:
         raw[pos] = byte
@@ -609,6 +621,7 @@ def test_checkpoint_fuzz_loads_or_raises_typed_errors(tmp_path, edits, cut):
     except ChunkSmoothError:
         return
     assert params.profile.stride <= params.profile.window
+    assert all(np.isfinite(t).all() for t in params.tensors())
 
 
 def test_checkpoint_missing_file(tmp_path):

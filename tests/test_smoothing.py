@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import exhaustive_flip_invariant, tally_oracle, vote_oracle, windows_touching
 from chunksmooth import harness, neural, smoothing
-from chunksmooth.ablation import AblationConfig
+from chunksmooth.ablation import AblationConfig, sca_starts
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
 from chunksmooth.errors import ConfigInvalid, DataError, NotLengthPreserving, NotSca
 from chunksmooth.smoothing import (
@@ -30,20 +30,19 @@ def _sca_spec(n_views=100, p=0.05):
 
 
 def _stub_scores(monkeypatch, scores):
-    """Make every view score fixed, bypassing the model entirely (both
-    view scorers, whose blocks follow the model's profile, included)."""
+    """Make every view score fixed, bypassing the model entirely: the view
+    scorer of an sca spec gives scores for its real starts and g."""
     arr = np.asarray(scores, dtype=np.float64)
 
-    def fake(params, n_views, n_tokens, rows):
-        assert n_views == arr.size
-        return arr.copy()
+    def fake(params, spec):
+        def scores_of(data):
+            starts, g = sca_starts(len(data), spec.ablation)
+            assert starts.size == arr.size
+            return arr.copy(), starts, g
 
-    def fake_chunks(params, tokens, starts, g):
-        assert starts.size == arr.size
-        return arr.copy()
+        return scores_of
 
-    monkeypatch.setattr(neural, "score_views", fake)
-    monkeypatch.setattr(neural, "score_chunks", fake_chunks)
+    monkeypatch.setattr(smoothing, "view_scorer", fake)
 
 
 def _pred_with_votes(monkeypatch, scores, n_views=None, file_len=1000):
@@ -116,9 +115,6 @@ def test_sca_prediction_is_deterministic():
     p1 = predict_smoothed(params, spec, data)
     p2 = predict_smoothed(params, spec, data)
     assert p1 == p2
-    # sca placement never consumes the rng argument
-    p3 = predict_smoothed(params, spec, data, rng=np.random.default_rng(999))
-    assert p3.votes == p1.votes
 
 
 def test_randomized_schemes_are_reproducible_per_content():
