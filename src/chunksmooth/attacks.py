@@ -61,7 +61,7 @@ def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     scores_of = smoothing.view_scorer(params, spec)
 
     def fn(data: bytes):
-        scores = scores_of(data)[0]
+        scores = np.concatenate(list(scores_of(data)[0]))
         # ns is one view, whose vote is predict_plain's label
         _, probabilities, label = smoothing.tally_votes(scores)
         return (scores[0] if spec.kind == "ns" else probabilities[LABEL_MALICIOUS]), label

@@ -120,6 +120,10 @@ class NonFiniteLoss(NumericError):
     pass
 
 
+class NonFiniteScore(NumericError):
+    """A prediction scored a view NaN or infinite."""
+
+
 class OracleFailure(NumericError):
     """The black-box score oracle returned something unusable."""
 

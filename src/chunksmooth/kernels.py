@@ -2,18 +2,19 @@
 
 The conv kernels become one GEMM over the stride-spaced window columns,
 cut from one embedded sequence at any set of view start offsets; the
-scatters use ``np.add.at``.  Backward touches only the input rows
-under the pooled windows (at most n_filters * window of them): the conv
-gradient is accumulated on those rows and only they are scattered into
-the embedding table, with the same non-zero terms in the same order as
-a dense pass over every token.  Every kernel is deterministic run to
-run.  perfbench/ times each kernel at fixed shapes (``kernels.case.*``).
+scatters use ``np.add.at`` on a flat index.  Backward touches only the
+input rows under the pooled windows (at most n_filters * window of
+them): the conv gradient is accumulated on those rows and only they are
+scattered into the embedding table, with the same non-zero terms in the
+same order as a dense pass over every token.  Every kernel is
+deterministic run to run.  perfbench/ times each kernel at fixed shapes
+(``kernels.case.*``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # -- gated conv pair ----------------------------------------------------------
 #
@@ -31,11 +32,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 # others' calls.
 
 
+def _windows(x, w):
+    """sliding_window_view(x, w, axis=0) of a 2-D x: the same read-only
+    view, without sliding_window_view's argument handling, a fixed cost
+    that every small GEMM of a prediction block pays again."""
+    (t, e), (st, se) = x.shape, x.strides
+    return as_strided(x, (t - w + 1, e, w), (st, se, st), writeable=False)
+
+
 def _conv_pair_cols(x, starts, t, wa, ba, wb, bb, stride):
     f, e, w = wa.shape
     n = starts.size
     j = (t - w) // stride + 1
-    win = sliding_window_view(x, w, axis=0)  # (T-w+1, e, w)
+    win = _windows(x, w)  # (T-w+1, e, w)
     cols = win[starts[:, None] + stride * np.arange(j)].reshape(n * j, e * w)
     a = cols @ wa.reshape(f, e * w).T + ba
     b = cols @ wb.reshape(f, e * w).T + bb
@@ -73,7 +82,7 @@ def conv_pair_views(x, starts, t, wa, ba, wb, bb, stride):
 
 def conv_backward(x, wa, wb, best_j, d_a, d_b, stride):
     f, e, w = wa.shape
-    win = sliding_window_view(x, w, axis=0)  # (t-w+1, e, w)
+    win = _windows(x, w)  # (t-w+1, e, w)
     slices = win[best_j * stride]  # (f, e, w)
     d_wa = d_a[:, None, None] * slices
     d_wb = d_b[:, None, None] * slices
@@ -82,8 +91,21 @@ def conv_backward(x, wa, wb, best_j, d_a, d_b, stride):
     pos = best_j[:, None] * stride + np.arange(w)[None, :]  # (f, w)
     rows, slot = np.unique(pos, return_inverse=True)
     d_rows = np.zeros((rows.size, e), dtype=x.dtype)
-    np.add.at(d_rows, slot.reshape(-1), contrib.reshape(f * w, e))
+    _add_rows(d_rows, slot.reshape(-1), contrib.reshape(f * w, e))
     return d_wa, d_a.copy(), d_wb, d_b.copy(), rows, d_rows
+
+
+def _add_rows(out, index, values):
+    """np.add.at(out, index, values) for a 2-D out (n, e) and row index:
+    the same scatter through the flat index index*e + k, which numpy runs
+    on a fast path where the row scatter takes its slow one.  add.at adds
+    in index order either way, so every row sums the same terms in the
+    same order and the result is bitwise equal."""
+    e = out.shape[1]
+    flat = out.reshape(-1)  # a view, unless out is not C-contiguous
+    np.add.at(flat, (index[:, None] * e + np.arange(e)).reshape(-1), values.reshape(-1))
+    if not np.may_share_memory(flat, out):
+        out[...] = flat.reshape(out.shape)
 
 
 # -- embedding scatter ----------------------------------------------------------
@@ -91,7 +113,7 @@ def conv_backward(x, wa, wb, best_j, d_a, d_b, stride):
 
 def embedding_scatter(tokens, d_x, d_emb):
     """Accumulate d_x rows into d_emb rows selected by tokens (repeats sum)."""
-    np.add.at(d_emb, tokens, d_x)
+    _add_rows(d_emb, tokens, d_x)
 
 
 # -- zero runs ------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,9 +124,10 @@ def init_params(profile: ModelProfile, seed: int, dtype=np.float32) -> MalConvPa
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) <= 1 cannot overflow; each branch is the stable form for its sign
+    # exp(-|x|) <= 1 cannot overflow; 1/(1+e) and e/(1+e) are the stable
+    # forms for x >= 0 and x < 0, divided once with the numerator chosen
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+    return np.where(x >= 0, 1, e) / (1 + e)
 
 
 def _sigmoid_scalar(x: float) -> float:
@@ -200,7 +202,7 @@ def view_heads(params: MalConvParams, h: np.ndarray) -> np.ndarray:
     reduction, not a gemv: gemv bits depend on the batch size, and a
     view's score must depend on its own tokens only."""
     logits = ((h * params.fc_w).sum(axis=1) + params.fc_b[0]).astype(np.float64)
-    return np.clip(_sigmoid(logits), _SCORE_EPS, 1.0 - _SCORE_EPS)
+    return np.minimum(np.maximum(_sigmoid(logits), _SCORE_EPS), 1.0 - _SCORE_EPS)
 
 
 def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
@@ -240,6 +242,22 @@ def view_columns(profile: ModelProfile, n_tokens: int) -> int:
     return (max(n_tokens, profile.window) - profile.window) // profile.stride + 1
 
 
+def _blocks(profile: ModelProfile, n_views: int, n_tokens: int, first: int, step: int) -> list[int]:
+    """Boundaries [0, ..., n_views] of consecutive blocks of at most first
+    views, then at most step views each, within the budget and the floor
+    of view_blocks."""
+    columns = view_columns(profile, n_tokens)
+    budget = BLOCK_ELEMENTS // (columns * profile.emb_dim * profile.window)
+    floor = -(-MIN_RESCORE_COLUMNS // columns)
+    bounds = [0]
+    while bounds[-1] < n_views:
+        size = first if len(bounds) == 1 else step
+        bounds.append(min(bounds[-1] + max(min(size, budget), 1, floor), n_views))
+    if len(bounds) > 2 and (bounds[-1] - bounds[-2]) * columns < MIN_RESCORE_COLUMNS:
+        del bounds[-2]
+    return bounds
+
+
 def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]:
     """Boundaries [0, ..., n_views] of the consecutive blocks score_views
     cuts a stack of n_views views of n_tokens tokens into.
@@ -249,63 +267,101 @@ def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]
     the block before it.  Within that floor, a block's im2col matrix holds
     at most BLOCK_ELEMENTS values, unless the block is one view, or the
     last block with such a remainder."""
-    columns = view_columns(profile, n_tokens)
-    per_view = columns * profile.emb_dim * profile.window
-    size = max(BLOCK_ELEMENTS // per_view, -(-MIN_RESCORE_COLUMNS // columns))
-    bounds = list(range(0, n_views, size))
-    if len(bounds) > 1 and (n_views - bounds[-1]) * columns < MIN_RESCORE_COLUMNS:
-        bounds.pop()
-    return bounds + [n_views]
+    return _blocks(profile, n_views, n_tokens, n_views, n_views)
 
 
-def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> np.ndarray:
-    """Scores of n_views views of n_tokens tokens, one forward_scores call
-    per block (view_blocks).  rows(a, b) returns views [a, b) as a 2-D
+# A vote over L views is settled once one side holds a majority: ceil(L/2)
+# malicious votes (ties go to malicious) or floor(L/2)+1 benign ones.  Chunk
+# views are scored in a first block of floor(L/2)+1 views, the fewest that
+# can settle either label, then in blocks of ceil(L/VOTE_STEPS) views, so a
+# label-only prediction can stop after any block.  A later block's im2col
+# matrix also holds at least VOTE_BLOCK_ELEMENTS values (1 MiB of float32:
+# 512 conv columns on desk, 66 on original): each block pays a fixed cost
+# outside its GEMM, about 40 us or the work of 35 desk columns on a 2-core
+# x86 host, which a full prediction would otherwise pay once per block of
+# a few hundred columns.
+VOTE_STEPS = 10
+VOTE_BLOCK_ELEMENTS = 1 << 18
+
+
+def vote_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]:
+    """Boundaries [0, ..., n_views] of the blocks ChunkScorer scores a
+    fresh call's views in: at most floor(L/2)+1 views in the first block;
+    in each later one ceil(L/VOTE_STEPS) views, or enough views to hold
+    VOTE_BLOCK_ELEMENTS im2col values; all within view_blocks' budget and
+    column floor, and a short last block joins the one before it."""
+    per_view = view_columns(profile, n_tokens) * profile.emb_dim * profile.window
+    step = max(-(-n_views // VOTE_STEPS), -(-VOTE_BLOCK_ELEMENTS // per_view))
+    return _blocks(profile, n_views, n_tokens, n_views // 2 + 1, step)
+
+
+def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> Iterator[np.ndarray]:
+    """Scores of n_views views of n_tokens tokens, one array per block
+    (view_blocks) in view order, each scored by one forward_scores call
+    when the iterator reaches it.  rows(a, b) returns views [a, b) as a 2-D
     stack and is called once per block, for consecutive blocks in order, so
-    only one block of views need exist at a time.  smoothing.view_scorer
-    scores rs views, and chunk views shorter than the conv window, here.
+    only one block of views need exist at a time, and a caller that stops
+    early draws no more.  smoothing.view_scorer scores rs views, and chunk
+    views shorter than the conv window, here.
 
-    Bitwise the scores of one forward_scores call on the whole stack, since
-    a view's score depends on its own tokens only and every block runs on
-    the whole stack's GEMM kernel."""
+    Concatenated, bitwise the scores of one forward_scores call on the
+    whole stack, since a view's score depends on its own tokens only and
+    every block runs on the whole stack's GEMM kernel."""
     bounds = view_blocks(params.profile, n_views, n_tokens)
-    return np.concatenate([forward_scores(params, rows(a, b)) for a, b in zip(bounds, bounds[1:])])
+    for a, b in zip(bounds, bounds[1:]):
+        yield forward_scores(params, rows(a, b))
 
 
 class ChunkScorer:
     """The pooled vectors (L, f) of the chunk views tokens[s : s+g] of one
     file, for s in starts and g of at least the conv window; the caller
     applies the head.  A cell is one (view, conv column) pair, whose window
-    starts at start + stride*k.  The file is embedded once, and the cells
-    go through one conv_pair_views GEMM per block of one-column views
-    (view_blocks), so the result is bitwise score_views'.
+    starts at start + stride*k.  The file is embedded once.
 
-    It keeps the last call's tokens, embedding and gated (cells, f) values.
-    A call with the same starts and g on a file of the same length
-    recomputes only the cells whose window covers a changed token (the
-    sparse max-pool recomputation of Raff et al. 2021), padded to
-    MIN_RESCORE_COLUMNS cells or all, and pools again the views holding
-    one: bitwise a fresh call, since the max is exact.  Any other call
-    starts afresh."""
+    A call returns an iterator over the pooled vectors in consecutive
+    blocks of whole views, in view order.  A fresh call computes a block's
+    cells, in one conv_pair_views GEMM, only when the iterator reaches it
+    (vote_blocks), so a caller that has what it needs can stop; every GEMM
+    holds at least MIN_RESCORE_COLUMNS cells or all of them, so the result
+    is bitwise score_views'.
+
+    Once a call's last block is out, the scorer keeps its tokens,
+    embedding and gated (cells, f) values.  A call with the same starts
+    and g on a file of the same length then recomputes only the cells
+    whose window covers a changed token (the sparse max-pool recomputation
+    of Raff et al. 2021), padded to MIN_RESCORE_COLUMNS cells or all, pools
+    again the views holding one, and yields all L as one block: bitwise a
+    fresh call, since the max is exact.  Any other call, and any call after
+    one whose iterator was left before its end, starts afresh."""
 
     def __init__(self, params: MalConvParams):
         self.params = params
         self._tokens = None
 
-    def __call__(self, tokens: np.ndarray, starts: np.ndarray, g: int) -> np.ndarray:
-        pr = self.params.profile
+    def __call__(self, tokens: np.ndarray, starts: np.ndarray, g: int) -> Iterator[np.ndarray]:
         same = self._tokens is not None and self._tokens.size == tokens.size and self._g == g
-        if not (same and np.array_equal(self._starts, starts)):
-            self._tokens = tokens.copy()
-            self._starts, self._g = starts.copy(), g
-            self._xt = embed(self.params, tokens).T  # (e, l), the array embed lays out
-            self._pos = (starts[:, None] + pr.stride * np.arange(view_columns(pr, g))).ravel()
-            self._gated = np.empty((self._pos.size, pr.n_filters), dtype=self.params.dtype)
-            bounds = view_blocks(pr, self._pos.size, pr.window)
-            for lo, hi in zip(bounds, bounds[1:]):
-                self._gated[lo:hi] = self._gates(self._pos[lo:hi])
-            self._pooled = self._gated.reshape(starts.size, -1, pr.n_filters).max(axis=1)
-            return self._pooled.copy()
+        if same and np.array_equal(self._starts, starts):
+            yield self._rescore(tokens)
+            return
+        pr = self.params.profile
+        self._tokens = None  # the kept state is valid again only after the last block
+        xt = embed(self.params, tokens).T  # (e, l), the array embed lays out
+        columns = view_columns(pr, g)
+        pos = (starts[:, None] + pr.stride * np.arange(columns)).ravel()
+        gated = np.empty((pos.size, pr.n_filters), dtype=self.params.dtype)
+        pooled = []
+        bounds = vote_blocks(pr, starts.size, g)
+        for a, b in zip(bounds, bounds[1:]):
+            cells = slice(a * columns, b * columns)
+            gated[cells] = self._gates(xt, pos[cells])
+            pooled.append(gated[cells].reshape(b - a, columns, pr.n_filters).max(axis=1))
+            yield pooled[-1]
+        self._tokens, self._starts, self._g = tokens.copy(), starts.copy(), g
+        self._xt, self._pos, self._gated = xt, pos, gated
+        self._pooled = np.concatenate(pooled)
+
+    def _rescore(self, tokens: np.ndarray) -> np.ndarray:
+        pr = self.params.profile
         at = np.flatnonzero(tokens != self._tokens)
         if not at.size:
             return self._pooled.copy()
@@ -320,15 +376,17 @@ class ChunkScorer:
         cells = np.flatnonzero(changed)
         bounds = view_blocks(pr, cells.size, pr.window)
         for lo, hi in zip(bounds, bounds[1:]):
-            self._gated[cells[lo:hi]] = self._gates(self._pos[cells[lo:hi]])
-        views = changed.reshape(starts.size, -1).any(axis=1)
-        self._pooled[views] = self._gated.reshape(starts.size, -1, pr.n_filters)[views].max(axis=1)
+            self._gated[cells[lo:hi]] = self._gates(self._xt, self._pos[cells[lo:hi]])
+        n_views = self._starts.size
+        views = changed.reshape(n_views, -1).any(axis=1)
+        self._pooled[views] = self._gated.reshape(n_views, -1, pr.n_filters)[views].max(axis=1)
         return self._pooled.copy()
 
-    def _gates(self, pos: np.ndarray) -> np.ndarray:
-        """Gated activations (n, f) of the one-column views at pos."""
+    def _gates(self, xt: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Gated activations (n, f) of the one-column views at pos of the
+        feature-major embedding xt."""
         p, pr = self.params, self.params.profile
-        a, b = kernels.conv_pair_views(self._xt.T, pos, pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride)
+        a, b = kernels.conv_pair_views(xt.T, pos, pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride)
         return gate(a[:, 0], b[:, 0])
 
 

@@ -2,17 +2,20 @@
 with per-step ablation, in-place edit certificates and per-chunk
 attribution.
 
-A smoothed detector scores all L views of a file with the base
+A smoothed detector scores the L views of a file with the base
 classifier, turns each score into a vote (malicious at a score of at
 least VOTE_THRESHOLD), and labels the file by majority with ties going
-to malicious (the conservative direction for a detector).  The plain (ns) detector is a single forward
-pass over the whole file.
+to malicious (the conservative direction for a detector).  A prediction
+of the label alone (predict) stops scoring views once the majority is
+decided.  The plain (ns) detector is a single forward pass over the
+whole file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,7 +37,15 @@ from .corpus import (
     CorpusManifest,
     load_capped,
 )
-from .errors import ConfigInvalid, DataError, EmptyCorpus, NotLengthPreserving, NotSca, check_fields
+from .errors import (
+    ConfigInvalid,
+    DataError,
+    EmptyCorpus,
+    NonFiniteScore,
+    NotLengthPreserving,
+    NotSca,
+    check_fields,
+)
 
 DETECTOR_KINDS = ("ns", "rs", "rca", "sca")
 
@@ -138,39 +149,52 @@ def content_rng(seed: int, data: bytes) -> np.random.Generator:
     return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
 
 
+def _finite(scores):
+    """scores, if each is finite.  Finite weights whose conv overflows
+    score NaN, which no vote or record can hold."""
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScore("the model scored a view NaN or infinite")
+    return scores
+
+
 def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
     tokens = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-    score = neural.forward(params, tokens).score
+    score = _finite(neural.forward(params, tokens).score)
     label = LABEL_MALICIOUS if score >= VOTE_THRESHOLD else LABEL_BENIGN
     return PlainPrediction(score=score, label=label)
 
 
 def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
-    """scores(data) -> (scores, starts, g): the scores of the views spec's
-    detector votes over, with the views' starts and length g.  This is
-    the one place that maps a detector to its views and their scorer.
+    """scores(data) -> (blocks, starts, g): an iterator over the scores of
+    the views spec's detector votes over, in consecutive blocks of whole
+    views in view order, with the views' starts and length g.  A block is
+    scored when the iterator reaches it, so a caller that stops early
+    scores no more views.  This is the one place that maps a detector to
+    its views and their scorer.
 
     ns is one view of the whole file (starts [0], g its length), scored
     as forward scores it.  sca's starts are a pure function of len(data);
     rca and rs draw their views from content_rng on every call.  Chunk
     views of at least the conv window go through one neural.ChunkScorer
-    kept across calls, so a call on a file of the same length and starts
-    rescores only the conv columns whose bytes changed; shorter chunk
-    views are gathered from the file and rs views (starts None) drawn one
-    block at a time, and both go through neural.score_views.  Every call
-    is bitwise a fresh one."""
+    kept across calls, in its blocks (neural.vote_blocks), so a call on a
+    file of the same length and starts, after one whose blocks were all
+    taken, rescores only the conv columns whose bytes changed; shorter
+    chunk views are gathered from the file and rs views (starts None)
+    drawn one block at a time, and both go through neural.score_views.
+    Every call is bitwise a fresh one."""
     cfg, window = spec.ablation, params.profile.window
     chunks = neural.ChunkScorer(params)
 
-    def scores(data: bytes) -> tuple[np.ndarray, np.ndarray | None, int]:
+    def scores(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
         tokens = np.frombuffer(data, dtype=np.uint8)
         if spec.kind == "ns":
             starts = np.zeros(1, dtype=np.int64)
             if tokens.size < window:
                 score = neural.forward(params, tokens).score
             else:
-                score = neural.plain_head(params, chunks(tokens, starts, tokens.size)[0])
-            return np.array([score]), starts, tokens.size
+                (pooled,) = chunks(tokens, starts, tokens.size)
+                score = neural.plain_head(params, pooled[0])
+            return iter([np.array([score])]), starts, tokens.size
         if spec.kind == "rs":
             rng = content_rng(cfg.seed, data)
             rows = lambda a, b: make_views(data, replace(cfg, n_views=b - a), rng)
@@ -182,7 +206,7 @@ def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
         if g < window:
             windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
             return neural.score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]]), starts, g
-        return neural.view_heads(params, chunks(tokens, starts, g)), starts, g
+        return (neural.view_heads(params, pooled) for pooled in chunks(tokens, starts, g)), starts, g
 
     return scores
 
@@ -199,9 +223,12 @@ def tally_votes(scores: np.ndarray) -> tuple[dict[str, int], dict[str, float], s
 
 
 def predict_smoothed(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> SmoothedPrediction:
+    """The vote over all L views of data, with their scores, starts and g.
+    Raises NonFiniteScore if a view's score is not finite."""
     if spec.kind == "ns":
         raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
-    scores, starts, g = view_scorer(params, spec)(data)
+    blocks, starts, g = view_scorer(params, spec)(data)
+    scores = _finite(np.concatenate(list(blocks)))
     votes, probabilities, label = tally_votes(scores)
     return SmoothedPrediction(
         kind=spec.kind,
@@ -218,11 +245,23 @@ def predict_smoothed(params: neural.MalConvParams, spec: DetectorSpec, data: byt
 
 
 def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> str:
-    """Just the label, through whichever path the spec calls for.  The
-    smoothed path is predict_smoothed without its view arrays."""
+    """Just the label, through whichever path the spec calls for.
+
+    The smoothed path tallies the views' scores block by block, in view
+    order, and scores no more views once the label is settled: once
+    ceil(L/2) views vote malicious (ties go to malicious), or floor(L/2)+1
+    vote benign.  Each scored view's score is bitwise predict_smoothed's,
+    so the label is too.  Raises NonFiniteScore if a scored view's score
+    is not finite."""
     if spec.kind == "ns":
         return predict_plain(params, data).label
-    return tally_votes(view_scorer(params, spec)(data)[0])[2]
+    n_views, scored, malicious = spec.ablation.n_views, 0, 0
+    for scores in view_scorer(params, spec)(data)[0]:
+        scored += scores.size
+        malicious += int(np.count_nonzero(_finite(scores) >= VOTE_THRESHOLD))
+        if 2 * malicious >= n_views or 2 * (scored - malicious) > n_views:
+            break
+    return LABEL_MALICIOUS if 2 * malicious >= n_views else LABEL_BENIGN
 
 
 # -- certification -----------------------------------------------------------------

@@ -225,12 +225,12 @@ def test_view_scores_rescoring_matches_full_stack(columns):
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert [w.start for w in sca_windows(len(data), cfg)] == [i * g for i in range(L)]
     scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
-    np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
+    np.testing.assert_array_equal(_view_scores(scores, data), _fresh_scores(params, cfg, data))
     for k in list(range(1, L + 1)) * 2:
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
-        got = scores(data)[0]
+        got = _view_scores(scores, data)
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
-    np.testing.assert_array_equal(scores(data)[0], got)  # nothing changed
+    np.testing.assert_array_equal(_view_scores(scores, data), got)  # nothing changed
 
 
 def test_view_scores_rescoring_matches_full_stack_across_blocks():
@@ -246,10 +246,15 @@ def test_view_scores_rescoring_matches_full_stack_across_blocks():
     data = rng.integers(0, 256, size=L * g, dtype=np.uint8).tobytes()
     assert neural.view_blocks(params.profile, L, g) == [0, 88, 100]
     scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
-    np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
+    np.testing.assert_array_equal(_view_scores(scores, data), _fresh_scores(params, cfg, data))
     for k in (1, 12, 50, 89, 100):
         data = _edit_views(data, g, rng.choice(L, size=k, replace=False), rng)
-        np.testing.assert_array_equal(scores(data)[0], _fresh_scores(params, cfg, data))
+        np.testing.assert_array_equal(_view_scores(scores, data), _fresh_scores(params, cfg, data))
+
+
+def _view_scores(scorer, data):
+    """All L view scores a view_scorer gives for data, its blocks joined."""
+    return np.concatenate(list(scorer(data)[0]))
 
 
 def _rescored_cells(monkeypatch):
@@ -300,7 +305,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
     cells = _cells(pr, [w.start for w in windows], len(windows[0]))
     scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
     seen = _rescored_cells(monkeypatch)
-    scores(data)
+    _view_scores(scores, data)
     padded = 0
     for runs in (((3000, 3010), (31_000, 31_500)), ((0, 400), (39_600, 40_000)), ((10_000, 10_001), (20_000, 20_002))):
         edited = bytearray(data)
@@ -308,7 +313,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
             edited[a:b] = bytes((x + 1) % 256 for x in edited[a:b])
         data = bytes(edited)
         seen.clear()
-        got = scores(data)[0]
+        got = _view_scores(scores, data)
         np.testing.assert_array_equal(got, _fresh_scores(params, cfg, data))
         touched = _touching_cells(cells, pr.window, runs)
         views = set(windows_touching(windows, runs[0])) | set(windows_touching(windows, runs[1]))
@@ -317,7 +322,7 @@ def test_view_scores_rescores_exactly_the_windows_covering_an_edit(monkeypatch):
         padded += len(touched) < neural.MIN_RESCORE_COLUMNS
     assert padded  # at least one edit touched fewer cells than the floor
     seen.clear()
-    np.testing.assert_array_equal(scores(data)[0], got)
+    np.testing.assert_array_equal(_view_scores(scores, data), got)
     assert seen == []
 
 
@@ -330,7 +335,7 @@ def test_view_scores_scores_a_query_of_another_length_afresh():
     data = rng.integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
     scores = smoothing.view_scorer(params, smoothing.DetectorSpec(kind="sca", ablation=cfg))
     for query in (data, data + bytes(64), data[:-1] + b"x", data[:5000], data):
-        np.testing.assert_array_equal(scores(query)[0], _fresh_scores(params, cfg, query))
+        np.testing.assert_array_equal(_view_scores(scores, query), _fresh_scores(params, cfg, query))
 
 
 def _fresh_view_scores(params, spec, data):
@@ -338,7 +343,7 @@ def _fresh_view_scores(params, spec, data):
     predict_plain score, or sca's from a fresh view_scorer."""
     if spec.kind == "ns":
         return np.array([smoothing.predict_plain(params, data).score])
-    return smoothing.view_scorer(params, spec)(data)[0]
+    return _view_scores(smoothing.view_scorer(params, spec), data)
 
 
 def _spec(kind):
@@ -369,7 +374,7 @@ def test_column_scores_match_fresh_predictions_query_by_query(monkeypatch, kind,
     seen = _rescored_cells(monkeypatch)
     for i, query in enumerate((data, data, one_byte, many, data + bytes(7), short, data)):
         seen.clear()
-        got = scores(query)[0]
+        got = _view_scores(scores, query)
         gemms = [len(s) for s in seen]
         np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
         if i == 1:
@@ -408,7 +413,7 @@ def test_column_scores_match_fresh_predictions_over_ga_runs(kind, profile, victi
         checked = []
 
         def fn(query):
-            got = scores(query)[0]
+            got = _view_scores(scores, query)
             np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
             checked.append(query)
             return MAL

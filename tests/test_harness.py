@@ -317,7 +317,8 @@ def test_prediction_record_matches_view_scores(profile, length, n_views):
     data = np.random.default_rng(g).integers(0, 256, size=20 * g, dtype=np.uint8).tobytes()
     for kind in ("sca", "rca", "rs"):
         spec = smoothing.DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
-        scores, starts, view_len = smoothing.view_scorer(params, spec)(data)
+        blocks, starts, view_len = smoothing.view_scorer(params, spec)(data)
+        scores = np.concatenate(list(blocks))
         assert view_len == (len(data) if kind == "rs" else g)
         scores = [float(s) for s in scores]
         votes, probabilities, label = tally_oracle(scores)
@@ -822,6 +823,37 @@ def test_cli_refuses_a_checkpoint_with_non_finite_weights(checkpoint, tmp_path, 
     captured = capsys.readouterr()
     assert "tensor fc_w" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("checkpoint", [_NS_BIN, _SCA_BIN], ids=["ns", "sca"])
+def test_cli_refuses_a_non_finite_score(checkpoint, tmp_path, capsys):
+    """Finite weights whose conv overflows (emb 1, wa 3e38, wb -3e38: inf
+    pre-activations times gates of exactly 0) score NaN.  classify and
+    evaluate exit 4 and write no record or report, where they labelled the
+    file benign and wrote "score": NaN, which is not JSON."""
+    source = tmp_path / "source.bin"
+    source.write_bytes(checkpoint)
+    params, meta = neural.load_checkpoint(source)
+    params.emb[...] = 1.0
+    params.wa[...] = 3e38
+    params.wb[...] = -3e38
+    model = tmp_path / "model.bin"
+    neural.save_checkpoint(model, params, meta["detector"])
+    corpus_dir = tmp_path / "corpus"
+    assert cli.main(["gen-corpus", "--out", str(corpus_dir), "--n-files", "4", "--size-min", "6144", "--size-max", "8192"]) == 0
+    target = corpus_dir / read_manifest(corpus_dir / "manifest.csv").entries[0].path
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv in (
+            ["classify", "--model", str(model), "--json", str(out), str(target)],
+            ["classify", "--model", str(model), str(target)],
+            ["evaluate", "--model", str(model), "--corpus", str(corpus_dir), "--split", "all", "--json", str(out)],
+        ):
+            assert cli.main(argv) == 4
+            captured = capsys.readouterr()
+            assert "error:" in captured.err and "NaN" in captured.err and captured.out == ""
+            assert not out.exists()
 
 
 _MISSING = object()

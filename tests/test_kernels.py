@@ -1,6 +1,7 @@
 """Kernel correctness against straight-line loop references."""
 
 import numpy as np
+import pytest
 
 from _oracles import naive_zero_runs
 from chunksmooth import kernels
@@ -154,6 +155,64 @@ def test_embedding_scatter_accumulates_repeated_tokens():
     for t, row in zip(tokens, d_x):
         expect[t] += row
     np.testing.assert_array_equal(d_emb, expect)
+
+
+def _row_scatter_2d(out, index, values):
+    """The 2-D row scatter np.add.at(out, index, values), on a copy."""
+    out = out.copy()
+    np.add.at(out, index, values)
+    return out
+
+
+def _conv_backward_rows_2d(x, wa, wb, best_j, d_a, d_b, stride):
+    """conv_backward's input rows and their gradient, scattered row by row."""
+    f, e, w = wa.shape
+    contrib = (d_a[:, None, None] * wa + d_b[:, None, None] * wb).transpose(0, 2, 1).reshape(f * w, e)
+    rows, slot = np.unique(best_j[:, None] * stride + np.arange(w), return_inverse=True)
+    return rows, _row_scatter_2d(np.zeros((rows.size, e), dtype=x.dtype), slot.reshape(-1), contrib)
+
+
+def _with_negative_zeros(rng, a):
+    a = a.copy()
+    a[rng.random(a.shape) < 0.2] = -0.0
+    return a
+
+
+@pytest.mark.parametrize(
+    "f, e, w, stride",
+    [(32, 8, 64, 64), (32, 8, 64, 16), (32, 8, 64, 1), (128, 8, 500, 500), (128, 8, 500, 100)],
+    ids=["desk-64", "desk-16", "desk-1", "original-500", "original-100"],
+)
+def test_flat_scatters_match_the_row_scatter_bitwise(f, e, w, stride):
+    """conv_backward and embedding_scatter scatter through a flat index;
+    their sums are bitwise those of the 2-D row scatter np.add.at, on
+    float32 gradients holding -0.0, pooled windows that repeat and overlap
+    (strides below the window), and repeated tokens, into a zero, a
+    non-zero and a column-major table."""
+    rng = np.random.default_rng(w + stride)
+    for case in range(12):
+        t = w + stride * int(rng.integers(0, 40))
+        x = rng.standard_normal((t, e), dtype=np.float32)
+        wa, wb = (_with_negative_zeros(rng, rng.standard_normal((f, e, w), dtype=np.float32)) for _ in range(2))
+        j = (t - w) // stride + 1
+        best_j = rng.integers(0, j, size=f) if case % 3 else np.full(f, j // 2)
+        d_a, d_b = (_with_negative_zeros(rng, rng.standard_normal(f, dtype=np.float32)) for _ in range(2))
+        if case == 0:
+            d_a[:], d_b[:] = -0.0, -0.0
+        *_, rows, d_rows = kernels.conv_backward(x, wa, wb, best_j, d_a, d_b, stride)
+        want_rows, want = _conv_backward_rows_2d(x, wa, wb, best_j, d_a, d_b, stride)
+        np.testing.assert_array_equal(rows, want_rows)
+        assert d_rows.dtype == want.dtype and d_rows.tobytes() == want.tobytes()
+
+        tokens = rng.integers(0, 257 if case % 2 else 3, size=rows.size).astype(np.int32)
+        for table in (
+            np.zeros((257, e), dtype=np.float32),
+            _with_negative_zeros(rng, rng.standard_normal((257, e), dtype=np.float32)),
+            np.asfortranarray(rng.standard_normal((257, e), dtype=np.float32)),
+        ):
+            want = _row_scatter_2d(table, tokens, d_rows)
+            kernels.embedding_scatter(tokens, d_rows, table)
+            assert table.tobytes() == want.tobytes()
 
 
 def test_zero_runs_examples():

@@ -185,6 +185,55 @@ def test_view_blocks_examples():
     assert neural.view_blocks(wide, 130, 8192) == [0, 64, 130]
 
 
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_vote_blocks_keep_the_block_rule(profile):
+    """A first block of floor(L/2)+1 views and later blocks of
+    ceil(L/VOTE_STEPS) views, or of as many as fill VOTE_BLOCK_ELEMENTS,
+    under view_blocks' rule: at least one view, at least
+    MIN_RESCORE_COLUMNS columns or the whole stack, within BLOCK_ELEMENTS
+    unless the block is one view; a last block short of the floor joins
+    the one before it."""
+    per_column = profile.emb_dim * profile.window
+    rng = np.random.default_rng(profile.stride)
+    lengths = [1, profile.window, profile.window + profile.stride, 1200, 3250, 6000, 20_000, 1 << 20]
+    lengths += [int(n) for n in rng.integers(1, 200_000, size=40)]
+    for n_tokens in lengths:
+        columns = neural.view_columns(profile, n_tokens)
+        floor = -(-neural.MIN_RESCORE_COLUMNS // columns)
+        budget = neural.BLOCK_ELEMENTS // (columns * per_column)
+        for n_views in (1, 2, 3, 20, 100, 101, 1000):
+            step = max(-(-n_views // neural.VOTE_STEPS), -(-neural.VOTE_BLOCK_ELEMENTS // (columns * per_column)))
+            bounds = neural.vote_blocks(profile, n_views, n_tokens)
+            assert bounds[0] == 0 and bounds[-1] == n_views
+            for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                size = max(min(n_views // 2 + 1 if i == 0 else step, budget), 1, floor)
+                assert (b - a) * columns >= neural.MIN_RESCORE_COLUMNS or (a, b) == (0, n_views)
+                if b < n_views:
+                    assert b - a == size
+                else:
+                    assert b - a <= size or (b - a - size) * columns < neural.MIN_RESCORE_COLUMNS
+
+
+def test_vote_blocks_examples():
+    # desk, L=100, p=0.05: 24 KB and 65 KB files, views of 18 and 50 columns
+    assert neural.vote_blocks(DESK, 100, 1200) == [0, 51, 80, 100]  # 29 views fill 2^18 values
+    assert neural.vote_blocks(DESK, 100, 3250) == [0, 51, 62, 73, 84, 95, 100]
+    assert neural.vote_blocks(DESK, 100, 64) == [0, 100]  # one column a view: 64 views, then 36 join them
+    assert neural.vote_blocks(DESK, 100, 20_000) == [0, 26, 36, 46, 56, 66, 76, 86, 96, 100]  # budget: 26 views
+    assert neural.vote_blocks(DESK, 1, 3250) == [0, 1]
+    assert neural.vote_blocks(DESK, 2, 3250) == [0, 2]
+    assert neural.vote_blocks(DESK, 3, 3250) == [0, 3]  # the third view's 50 columns join the first block
+    assert neural.vote_blocks(DESK, 3, 6000) == [0, 2, 3]
+    assert neural.vote_blocks(ORIGINAL, 100, 6000) == [0, 51, 61, 71, 81, 91, 100]
+
+
+def _view_scores(params, spec, data):
+    """All L view scores of a fresh view_scorer, its blocks joined, with
+    the views' starts and g."""
+    blocks, starts, g = view_scorer(params, spec)(data)
+    return np.concatenate(list(blocks)), starts, g
+
+
 def _views(kind, n_views, view_len):
     """A file, the spec of one detector whose views of that file hold
     view_len tokens, and the views' tokens: rs views are the whole file,
@@ -216,9 +265,9 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     if length == "long" and n_views == 100:
         assert len(neural.view_blocks(profile, n_views, view_len)) > 2
     want = forward_scores(params, tokens)
-    got = neural.score_views(params, n_views, view_len, lambda a, b: tokens[a:b])
+    got = np.concatenate(list(neural.score_views(params, n_views, view_len, lambda a, b: tokens[a:b])))
     np.testing.assert_array_equal(got, want)
-    scores, starts, g = view_scorer(params, spec)(data)
+    scores, starts, g = _view_scores(params, spec, data)
     np.testing.assert_array_equal(scores, want)
     np.testing.assert_array_equal(predict_smoothed(params, spec, data).scores, want)
     if kind != "rs":
@@ -245,7 +294,7 @@ def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens
         return forward_scores(p, views)
 
     monkeypatch.setattr(neural, "forward_scores", counted)
-    got = neural.score_views(params, n_views, n_tokens, lambda a, b: stack[a:b])
+    got = np.concatenate(list(neural.score_views(params, n_views, n_tokens, lambda a, b: stack[a:b])))
     assert calls == blocks
     np.testing.assert_array_equal(got, want)
 
@@ -275,7 +324,7 @@ def test_rs_views_are_drawn_and_scored_one_block_at_a_time(profile, n_views, fil
         return forward_scores(p, block)
 
     monkeypatch.setattr(neural, "forward_scores", counted)
-    scores, starts, g = view_scorer(params, spec)(data)
+    scores, starts, g = _view_scores(params, spec, data)
     assert starts is None and g == file_len
     assert [len(b) for b in blocks] == [b - a for a, b in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.concatenate(blocks), views)
@@ -308,8 +357,52 @@ def test_chunk_scorer_keys_its_state_on_starts_and_g(profile):
         (data, second, g),
     ):
         windows = np.lib.stride_tricks.sliding_window_view(tokens, n)
-        want = neural.score_views(params, starts.size, n, lambda a, b: windows[starts[a:b]])
-        np.testing.assert_array_equal(neural.view_heads(params, scorer(tokens, starts, n)), want)
+        want = np.concatenate(list(neural.score_views(params, starts.size, n, lambda a, b: windows[starts[a:b]])))
+        got = np.concatenate(list(scorer(tokens, starts, n)))
+        np.testing.assert_array_equal(neural.view_heads(params, got), want)
+
+
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_chunk_scorer_keeps_nothing_from_a_call_left_early(profile, monkeypatch):
+    """A fresh call whose iterator is left after its first block keeps no
+    state: the next call with the same starts, on an edited file of the
+    same length, runs every cell through a GEMM and is bitwise a fresh
+    scorer's.  A scorer that kept its state block by block would pool cells
+    it never computed.  A rescoring call yields all L views as one block,
+    so taking that block completes it and its state is used again."""
+    params = init_params(profile, seed=14)
+    rng = np.random.default_rng(14)
+    file_len, g, L = 20_000, 1500, 100
+    data = rng.integers(0, 256, size=file_len, dtype=np.uint8)
+    other = rng.integers(0, 256, size=file_len, dtype=np.uint8)
+    edited = data.copy()
+    edited[7000:7010] ^= 0xFF
+    starts = np.arange(L) * (file_len - g) // (L - 1)
+    cells = L * neural.view_columns(profile, g)
+    assert len(neural.vote_blocks(profile, L, g)) > 2
+    seen = []
+    conv_pair_views = neural.kernels.conv_pair_views
+    monkeypatch.setattr(neural.kernels, "conv_pair_views", lambda x, pos, *a: seen.append(pos.size) or conv_pair_views(x, pos, *a))
+
+    def fresh(tokens):
+        return np.concatenate(list(neural.ChunkScorer(params)(tokens, starts, g)))
+
+    # before the call left early: nothing, a call with other starts, a call with the same starts
+    for earlier, rescored in ((None, False), (starts[::-1].copy(), False), (starts, True)):
+        scorer = neural.ChunkScorer(params)
+        if earlier is not None:
+            list(scorer(other, earlier, g))
+        first = next(scorer(data, starts, g))
+        assert len(first) == (L if rescored else neural.vote_blocks(profile, L, g)[1])
+        np.testing.assert_array_equal(first, fresh(data)[: len(first)])
+        for tokens in (edited, data):
+            seen.clear()
+            got = np.concatenate(list(scorer(tokens, starts, g)))
+            if tokens is edited and not rescored:
+                assert sum(seen) == cells
+            else:
+                assert 0 < sum(seen) < cells
+            np.testing.assert_array_equal(got, fresh(tokens))
 
 
 # -- loss --------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import exhaustive_flip_invariant, tally_oracle, vote_oracle, windows_touching
-from chunksmooth import harness, neural, smoothing
+from chunksmooth import harness, kernels, neural, smoothing
 from chunksmooth.ablation import AblationConfig, sca_starts
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
-from chunksmooth.errors import ConfigInvalid, DataError, NotLengthPreserving, NotSca
+from chunksmooth.errors import ConfigInvalid, DataError, NonFiniteScore, NotLengthPreserving, NotSca
 from chunksmooth.smoothing import (
     DetectorSpec,
     TrainConfig,
@@ -29,20 +31,31 @@ def _sca_spec(n_views=100, p=0.05):
     return DetectorSpec(kind="sca", ablation=AblationConfig(scheme="sca", p=p, n_views=n_views))
 
 
-def _stub_scores(monkeypatch, scores):
+def _stub_scores(monkeypatch, scores, bounds=None):
     """Make every view score fixed, bypassing the model entirely: the view
-    scorer of an sca spec gives scores for its real starts and g."""
+    scorer of an sca spec gives scores for its real starts and g, in blocks
+    cut at bounds, one view per block by default.  Returns the list of the
+    (a, b) blocks taken from it, in order."""
     arr = np.asarray(scores, dtype=np.float64)
+    bounds = list(range(arr.size + 1)) if bounds is None else bounds
+    taken = []
 
     def fake(params, spec):
         def scores_of(data):
             starts, g = sca_starts(len(data), spec.ablation)
             assert starts.size == arr.size
-            return arr.copy(), starts, g
+
+            def blocks():
+                for a, b in zip(bounds, bounds[1:]):
+                    taken.append((a, b))
+                    yield arr[a:b].copy()
+
+            return blocks(), starts, g
 
         return scores_of
 
     monkeypatch.setattr(smoothing, "view_scorer", fake)
+    return taken
 
 
 def _pred_with_votes(monkeypatch, scores, n_views=None, file_len=1000):
@@ -433,6 +446,207 @@ def test_label_only_predict_matches_vote_tally(monkeypatch):
     for scores in [rng.random(20) for _ in range(200)] + [[0.9] * 10 + [0.1] * 10, [0.5] * 20]:
         _stub_scores(monkeypatch, scores)
         assert predict(None, spec, data) == tally_oracle(scores)[2]
+
+
+def _settled_after(scores) -> int:
+    """How many views, taken in order, settle the vote of all of them:
+    ceil(L/2) malicious votes or floor(L/2) + 1 benign ones."""
+    L, malicious = len(scores), 0
+    for k, score in enumerate(scores, 1):
+        malicious += score >= 0.5
+        if malicious >= L - L // 2 or k - malicious >= L // 2 + 1:
+            return k
+    raise AssertionError("a vote over all L views is always settled")
+
+
+def test_label_only_predict_stops_once_the_vote_is_settled(monkeypatch):
+    """One view per block: predict takes exactly the views that settle the
+    vote, and labels as the full tally does, at every L from 1 to 21 and
+    on orders that settle early, late and on a 50/50 tie."""
+    rng = np.random.default_rng(25)
+    data = bytes(rng.integers(0, 256, size=2000, dtype=np.uint8))
+    for L in range(1, 22):
+        spec = _sca_spec(n_views=L)
+        half = L // 2
+        cases = [rng.random(L) for _ in range(30)]
+        cases += [[0.9] * L, [0.1] * L, [0.1] * half + [0.9] * (L - half), [0.9] * (L - half) + [0.1] * half]
+        for scores in cases:
+            taken = _stub_scores(monkeypatch, scores)
+            assert predict(None, spec, data) == tally_oracle(scores)[2]
+            assert taken == [(k, k + 1) for k in range(_settled_after(scores))]
+
+
+def test_label_only_predict_settles_ties_and_block_boundaries(monkeypatch):
+    """A 50/50 tie at even L is malicious and takes every view; a vote
+    settled by the last view of a block takes no further block, and one
+    that is one view short takes the next."""
+    data = bytes(range(256)) * 8
+    spec = _sca_spec(n_views=20)
+    for scores in ([0.1] * 10 + [0.9] * 10, [0.1, 0.9] * 10, [0.9] * 9 + [0.1] * 10 + [0.9]):
+        taken = _stub_scores(monkeypatch, scores, bounds=[0, 11, 13, 15, 17, 19, 20])
+        assert predict(None, spec, data) == LABEL_MALICIOUS
+        assert taken[-1] == (19, 20)
+    spec = _sca_spec(n_views=100)
+    bounds = [0, 51, 64, 77, 90, 100]
+    # malicious needs 50 votes, benign 51
+    for first, second, label, blocks in (
+        (40, 10, LABEL_MALICIOUS, 2),  # 50 malicious after the second block
+        (40, 9, LABEL_MALICIOUS, 3),  # 49: one short
+        (13, 0, LABEL_BENIGN, 2),  # 38 + 13 = 51 benign after the second block
+        (14, 0, LABEL_BENIGN, 3),  # 37 + 13 = 50: one short
+        (50, 0, LABEL_MALICIOUS, 1),  # settled inside the first block
+        (0, 0, LABEL_BENIGN, 1),
+    ):
+        scores = [0.9] * first + [0.1] * (51 - first) + [0.9] * second + [0.1] * (13 - second) + [0.9, 0.1] * 18
+        taken = _stub_scores(monkeypatch, scores, bounds=bounds)
+        assert predict(None, spec, data) == label == tally_oracle(scores)[2]
+        assert taken == list(zip(bounds, bounds[1:]))[:blocks]
+
+
+def _edges(pr, kind, L, top):
+    """View lengths up to top on both sides of each change in how L views
+    are cut into blocks: vote_blocks for chunk views, view_blocks for rs.
+    The cut changes only at a change of the conv column count, where the
+    column floor or the budget moves a boundary, or a short last block
+    joins the block before it or stops doing so."""
+    blocks = neural.view_blocks if kind == "rs" else neural.vote_blocks
+    lengths = range(pr.window, top + 1, pr.stride)
+    cut = lambda n: blocks(pr, L, n)
+    return [n for a, b in zip(lengths, lengths[1:]) if cut(a) != cut(b) for n in (b - 1, b)]
+
+
+def _top(pr, kind):
+    """The longest view length drawn: chunk views of files up to 90 KB, rs
+    views of a few thousand bytes."""
+    return 4500 if kind != "rs" else 6000 if pr.window < 500 else 2 * pr.window
+
+
+def _boundary_cases():
+    """At L = 100 and 101 on both profiles, views on both sides of the conv
+    window and of every change of the block cut (file length 20g at
+    p = 0.05)."""
+    cases = []
+    for profile, pr in neural.PROFILES.items():
+        for kind in ("sca", "rca", "rs"):
+            for L in (100, 101):
+                for n in (pr.window - 1, pr.window, pr.window + 1, *_edges(pr, kind, L, _top(pr, kind))):
+                    cases.append((profile, kind, L, n if kind == "rs" else 20 * n, n, 0.05))
+    return cases
+
+
+@st.composite
+def _label_only_cases(draw):
+    """A detector, a file and weights.  Chunk views (p = 0.05, so a file of
+    20g - r bytes for r < 20 has views of g bytes) and rs views (the whole
+    file) are drawn on both sides of the conv window and of the changes of
+    the block cut, or anywhere up to _top."""
+    profile = draw(st.sampled_from(sorted(neural.PROFILES)))
+    pr = neural.PROFILES[profile]
+    kind = draw(st.sampled_from(["sca", "rca", "rs"]))
+    L = draw(st.sampled_from([1, 2, 3, 20, 100, 101]))
+    top = _top(pr, kind)
+    near = [pr.window - 1, pr.window, pr.window + 1, *_edges(pr, kind, L, top)]
+    n = draw(st.sampled_from(near) | st.integers(1, top))
+    size = n if kind == "rs" else 20 * n - draw(st.integers(0, 19))
+    seed = draw(st.integers(0, 2**16))
+    bias = draw(st.sampled_from([0.0, 0.05, -0.05, 0.2, -0.2]))
+    return profile, kind, L, size, seed, bias
+
+
+def _with_examples(cases):
+    def wrap(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return wrap
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples(_boundary_cases())
+@given(_label_only_cases())
+def test_label_only_predict_matches_the_full_tally(case):
+    """predict takes the views' scores block by block and stops at the
+    first block after which the vote is settled: the scores it takes are
+    bitwise the first ones of predict_smoothed, and its label is the full
+    tally's, for sca, rca and rs on both profiles, at L in {1, 2, 3, 20,
+    100, 101}; the boundary cases run on every run."""
+    profile, kind, L, size, seed, bias = case
+    params = neural.init_params(neural.PROFILES[profile], seed=seed % 97)
+    params.fc_b[:] = bias
+    spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=L))
+    data = np.random.default_rng(seed).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    full = predict_smoothed(params, spec, data)
+    taken = []
+    view_scorer = smoothing.view_scorer
+
+    def spy(params, spec):
+        scorer = view_scorer(params, spec)
+
+        def scores(data):
+            blocks, starts, g = scorer(data)
+            return (taken.append(block) or block for block in blocks), starts, g
+
+        return scores
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smoothing, "view_scorer", spy)
+        label = predict(params, spec, data)
+    assert label == full.label == tally_oracle(full.scores)[2]
+    got = np.concatenate(taken).tolist()
+    assert got == list(full.scores[: len(got)])
+    settled = _settled_after(full.scores)
+    assert len(got) - taken[-1].size < settled <= len(got)
+
+
+@pytest.mark.parametrize("kind", ["sca", "rca", "rs"])
+@pytest.mark.parametrize("bias", [20.0, -20.0], ids=["malicious", "benign"])
+def test_label_only_predict_scores_half_the_views_of_a_unanimous_file(kind, bias, monkeypatch):
+    """Every view of the file votes one way: predict scores at most ceil(L/2)
+    views plus one block (counted as the conv columns reaching
+    conv_pair_views for chunk views, the rows reaching forward_scores for
+    rs), and predict_smoothed all L."""
+    params = neural.init_params(DESK, seed=6)
+    params.fc_b[:] = bias
+    L = 100
+    spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=L))
+    data = np.random.default_rng(6).integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
+    g = len(data) if kind == "rs" else 1000
+    columns = neural.view_columns(DESK, g)
+    blocks = neural.view_blocks(DESK, L, g) if kind == "rs" else neural.vote_blocks(DESK, L, g)
+    seen = []
+    conv_pair_views, forward_scores = kernels.conv_pair_views, neural.forward_scores
+    monkeypatch.setattr(kernels, "conv_pair_views", lambda x, starts, *a: seen.append(starts.size / columns) or conv_pair_views(x, starts, *a))
+    monkeypatch.setattr(neural, "forward_scores", lambda p, views: seen.append(len(views)) or forward_scores(p, views))
+    label = predict(params, spec, data)
+    assert label == (LABEL_MALICIOUS if bias > 0 else LABEL_BENIGN)
+    step = max(b - a for a, b in zip(blocks, blocks[1:]))
+    assert sum(seen) <= -(-L // 2) + step
+    assert sum(seen) == min(b for b in blocks if 2 * b > L)
+    seen.clear()
+    assert predict_smoothed(params, spec, data).label == label
+    assert sum(seen) == L
+
+
+@pytest.mark.parametrize("kind", ["sca", "rs"])
+def test_predictions_refuse_a_non_finite_score(kind):
+    """Finite weights whose conv overflows score NaN (inf pre-activations
+    times gates of exactly 0): predict_plain, predict_smoothed and predict
+    raise NonFiniteScore instead of voting NaN benign."""
+    params = neural.init_params(DESK, seed=7)
+    params.emb[...] = 1.0
+    params.wa[...] = 3e38
+    params.wb[...] = -3e38
+    data = bytes(range(256)) * 20
+    spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=20))
+    for call in (
+        lambda: predict_plain(params, data),
+        lambda: predict(params, DetectorSpec(kind="ns"), data),
+        lambda: predict_smoothed(params, spec, data),
+        lambda: predict(params, spec, data),
+    ):
+        with pytest.raises(NonFiniteScore), np.errstate(over="ignore", invalid="ignore"):
+            call()
 
 
 @pytest.mark.parametrize(
