@@ -50,7 +50,6 @@ from .smoothing import (
     SmoothedPrediction,
     TrainConfig,
     certify_inplace,
-    chunk_attribution,
     predict,
     predict_plain,
     predict_smoothed,
@@ -95,7 +94,6 @@ __all__ = [
     "attack_shift",
     "build_pe",
     "certify_inplace",
-    "chunk_attribution",
     "chunk_length",
     "evaluate",
     "ga_optimize",

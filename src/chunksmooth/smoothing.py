@@ -1,6 +1,5 @@
 """Smoothed detectors: vote aggregation over ablated views, training
-with per-step ablation, in-place edit certificates and per-chunk
-attribution.
+with per-step ablation and in-place edit certificates.
 
 A smoothed detector scores the L views of a file with the base
 classifier, turns each score into a vote (malicious at a score of at
@@ -300,11 +299,6 @@ def certify_inplace(
     else:
         certified = margin > 2 * touched
     return CertificationResult(certified=certified, touched=touched, margin=margin)
-
-
-def chunk_attribution(pred: SmoothedPrediction) -> list[int]:
-    """View indices ordered most-suspicious first; stable for equal scores."""
-    return sorted(range(len(pred.scores)), key=lambda i: -pred.scores[i])
 
 
 # -- training ----------------------------------------------------------------------

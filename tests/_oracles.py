@@ -331,3 +331,61 @@ def bytes_match_outside(a, b, exempt_spans):
     aa = np.frombuffer(a, dtype=np.uint8)
     bb = np.frombuffer(b, dtype=np.uint8)
     return bool(np.array_equal(aa[mask], bb[mask]))
+
+
+# -- synthetic corpus bodies ---------------------------------------------------------
+
+# The row-by-row body generator: three or four generator calls per 64-byte
+# row.  corpus decodes the same bytes from one block of raw generator words;
+# tests require the two to agree byte for byte and in generator state.
+
+
+def _texture_row_loop(rng, lead, noise_fraction):
+    row = np.empty(64, dtype=np.uint8)
+    row[16:].reshape(12, 4)[:] = rng.integers(0x20, 0x40, size=4, dtype=np.uint8)
+    row[:16] = lead
+    if noise_fraction > 0.0:
+        mask = rng.random(row.shape) < noise_fraction
+        row[mask] = rng.integers(0, 256, size=int(mask.sum()), dtype=np.uint8)
+    return row.tobytes()
+
+
+def malicious_body_loop(rng, length, noise_fraction, motifs):
+    n_caves = int(rng.integers(1, 4))
+    cave_blocks = set(int(v) for v in rng.integers(2, max(3, length // 64 - 2), size=n_caves))
+    out = bytearray()
+    block = 0
+    while len(out) < length:
+        if block in cave_blocks:
+            out += bytes(int(rng.integers(48, 129)))
+        motif = motifs[int(rng.integers(0, len(motifs)))]
+        out += _texture_row_loop(rng, np.frombuffer(motif, dtype=np.uint8), noise_fraction)
+        block += 1
+    del out[length:]
+    if out[-1] == 0:
+        out[-1] = 0x90
+    return bytes(out)
+
+
+def benign_body_loop(rng, length, noise_fraction):
+    n_caves = int(rng.integers(1, 4))
+    cave_blocks = set(int(v) for v in rng.integers(2, max(3, length // 64 - 2), size=n_caves))
+    out = bytearray()
+    structured = bool(rng.integers(0, 2))
+    block = 0
+    while len(out) < length:
+        run_end = min(len(out) + int(rng.integers(2048, 6145)), length)
+        if structured:
+            while len(out) < run_end:
+                if block in cave_blocks:
+                    out += bytes(int(rng.integers(48, 129)))
+                lead = rng.integers(0x20, 0x40, size=16, dtype=np.uint8)
+                out += _texture_row_loop(rng, lead, noise_fraction)
+                block += 1
+        else:
+            out += rng.integers(0, 256, size=run_end - len(out), dtype=np.uint8).tobytes()
+        structured = not structured
+    del out[length:]
+    if out[-1] == 0:
+        out[-1] = 0x2E
+    return bytes(out)

@@ -3,7 +3,9 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
+from _oracles import benign_body_loop, malicious_body_loop
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +120,55 @@ def test_malicious_files_have_planted_caves(clean_corpus):
         data = load_capped(manifest.resolve(entry))
         layout = pe.parse_pe(data)
         assert len(layout.code_caves) >= 1, f"{entry.path}: no caves"
+
+
+def _loop_bodies(rng, lengths, noise, malicious):
+    if malicious:
+        return [malicious_body_loop(rng, n, noise, corpus.MALICIOUS_MOTIFS) for n in lengths]
+    return [benign_body_loop(rng, n, noise) for n in lengths]
+
+
+@pytest.mark.parametrize("malicious", [False, True], ids=["benign", "malicious"])
+def test_bodies_match_the_row_loop_byte_for_byte(malicious):
+    """The bodies decoded from raw generator words are the bytes of the row
+    loop in tests/_oracles.py, and leave the generator in the same state,
+    including numpy's kept 32-bit half: one to four bodies per file, of
+    overlay-sized and section-sized lengths, noise rates of 0, the corpus
+    range and nearly 1, and a start with and without a kept half."""
+    draw = np.random.default_rng(21)
+    for trial in range(120):
+        lengths = [
+            int(draw.integers(*((32, 257), (512, 8193), (8193, 65537))[int(draw.integers(0, 3))]))
+            for _ in range(int(draw.integers(1, 5)))
+        ]
+        noise = (0.0, float(draw.uniform(0.0, 0.45)), 0.999)[int(draw.integers(0, 3))]
+        rngs = [np.random.default_rng([trial, 4]) for _ in range(2)]
+        if trial % 2:
+            for r in rngs:
+                r.integers(0, 8)  # a scalar draw leaves the high half of its word kept
+        got = corpus._bodies(rngs[0], lengths, noise, malicious)
+        assert got == _loop_bodies(rngs[1], lengths, noise, malicious), (trial, lengths, noise)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, (trial, lengths, noise)
+
+
+def test_row_stream_integers_match_the_generator():
+    """Lemire's method redraws with odds below 1e-6 at the ranges a body
+    draws (3, 81, 4097); ranges near 2**32 redraw often."""
+    for n in (1, 2, 3, 81, 4097, 3 << 30, (1 << 32) - 1):
+        rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+        stream = corpus._RowStream(rng, [4096], 0.0, motif_leads=True)
+        got = [stream.integer(5, 5 + n) for _ in range(300)]
+        assert got == [int(reference.integers(5, 5 + n)) for _ in range(300)]
+
+
+def test_synth_corpus_matches_the_row_loop(tmp_path, monkeypatch):
+    """Whole files, 200 per label, against the row loop."""
+    cfg = SynthConfig(n_files=400, size_range=(4096, 16384), seed=11)
+    manifest, _ = synth_corpus(cfg, tmp_path / "new")
+    monkeypatch.setattr(corpus, "_bodies", _loop_bodies)
+    reference, _ = synth_corpus(cfg, tmp_path / "loop")
+    assert len(manifest.malicious()) == 200
+    assert [e.sha256 for e in manifest.entries] == [e.sha256 for e in reference.entries]
 
 
 @pytest.mark.parametrize(
