@@ -1,7 +1,10 @@
 """Hot numeric kernels, written as vectorized numpy.
 
 The conv kernels become one GEMM over the stride-spaced window columns,
-cut from one embedded sequence at any set of view start offsets; the
+cut from one embedded sequence at any set of view start offsets: a GEMM
+of at least MIN_RESCORE_COLUMNS columns multiplies them once by the
+stacked (2f, e*w) weights [wa; wb], a smaller one by wa and wb apart,
+so that every product is bitwise the two separate GEMMs'.  The
 scatters use ``np.add.at`` on a flat index.  Backward touches only the
 input rows under the pooled windows (at most n_filters * window of
 them): the conv gradient is accumulated on those rows and only they are
@@ -30,6 +33,16 @@ from numpy.lib.stride_tricks import as_strided
 # The public conv kernels call this private body rather than each other, so
 # a wrapper around one of them (perfbench/ traces them) never sees the
 # others' calls.
+#
+# BLAS runs small GEMMs through other kernels than a full view stack's
+# GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
+# desk size, for any batch of up to 37 conv columns.  Every GEMM over part
+# of a stack (a block, a set of rescored conv columns) holds at least this
+# many conv columns, or the whole stack, so it runs on the full stack's
+# kernel.  From this many columns on, one GEMM over the stacked weights
+# [wa; wb] also gives the bits of the two GEMMs over wa and wb, on desk
+# and on original; at desk size and 19 to 37 columns it does not.
+MIN_RESCORE_COLUMNS = 64
 
 
 def _windows(x, w):
@@ -46,8 +59,12 @@ def _conv_pair_cols(x, starts, t, wa, ba, wb, bb, stride):
     j = (t - w) // stride + 1
     win = _windows(x, w)  # (T-w+1, e, w)
     cols = win[starts[:, None] + stride * np.arange(j)].reshape(n * j, e * w)
-    a = cols @ wa.reshape(f, e * w).T + ba
-    b = cols @ wb.reshape(f, e * w).T + bb
+    if n * j < MIN_RESCORE_COLUMNS:
+        a = cols @ wa.reshape(f, e * w).T + ba
+        b = cols @ wb.reshape(f, e * w).T + bb
+    else:  # stacked on each call: adam_step updates wa and wb in place
+        ab = cols @ np.concatenate((wa, wb)).reshape(2 * f, e * w).T
+        a, b = ab[:, :f] + ba, ab[:, f:] + bb
     return a.reshape(n, j, f), b.reshape(n, j, f)
 
 

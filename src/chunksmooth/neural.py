@@ -11,6 +11,12 @@ ignored (valid convolution).
 Backward passes are analytic.  Training is float32; gradient checks run
 the same code in float64.  The conv GEMM and the gradient scatters
 live in kernels.py.
+
+The embedding gather copies the table's rows (e contiguous values per
+token) EMBED_BLOCK tokens at a time and transposes each block into the
+feature-major output while it is still in cache.  The gate's sigmoid
+takes no branch: exp(fmin(x, 0)) is the numerator 1 or exp(-|x|) that a
+per-element select on x >= 0 would pick.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .errors import (
     json_loads,
     read_input,
 )
+from .kernels import MIN_RESCORE_COLUMNS
 
 LOSS_EPS = 1e-7  # BCE clamp
 _SCORE_EPS = 1e-12  # keeps forward scores inside the open interval (0, 1)
@@ -125,9 +132,11 @@ def init_params(profile: ModelProfile, seed: int, dtype=np.float32) -> MalConvPa
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) <= 1 cannot overflow; 1/(1+e) and e/(1+e) are the stable
-    # forms for x >= 0 and x < 0, divided once with the numerator chosen
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1, e) / (1 + e)
+    # forms for x >= 0 and x < 0.  exp(fmin(x, 0)) is their numerator, 1 or
+    # e, with no per-element branch (a select on the sign mispredicts where
+    # signs mix); fmin maps NaN to 0, so a NaN keeps the sign bit the select
+    # form gave it
+    return np.exp(np.fmin(x, 0)) / (1 + np.exp(-np.abs(x)))
 
 
 def _sigmoid_scalar(x: float) -> float:
@@ -137,12 +146,22 @@ def _sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+# Tokens per block of the embedding gather: a block's (EMBED_BLOCK, e)
+# rows stay in cache until their transpose is stored.  Transposing the whole
+# gather at once, or gathering feature by feature, costs more.
+EMBED_BLOCK = 4096
+
+
 def embed(params: MalConvParams, tokens: np.ndarray) -> np.ndarray:
     """params.emb[tokens] for tokens of any shape (..., t) -> (..., t, e),
     stored feature-major: the same values, laid out so that the im2col copy
     in kernels moves runs of contiguous positions of one feature."""
-    table = np.ascontiguousarray(params.emb.T)  # (e, VOCAB_SIZE)
-    return np.moveaxis(np.take(table, tokens, axis=1), 0, -1)
+    flat = np.ravel(tokens)
+    e = params.emb.shape[1]
+    out = np.empty((e, flat.size), dtype=params.dtype)
+    for a in range(0, flat.size, EMBED_BLOCK):
+        out[:, a : a + EMBED_BLOCK] = params.emb.take(flat[a : a + EMBED_BLOCK], axis=0).T
+    return np.moveaxis(out.reshape(e, *np.shape(tokens)), 0, -1)
 
 
 def _pad_tokens(tokens: np.ndarray, window: int) -> np.ndarray:
@@ -227,14 +246,6 @@ def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
 # desk, 1,048 on original.  The working set of a view stack is then one
 # block, not the whole stack.
 BLOCK_ELEMENTS = 1 << 22
-
-# BLAS runs small GEMMs through other kernels than a full view stack's
-# GEMM, with other rounding: OpenBLAS 0.3 does so for a lone view and, at
-# desk size, for any batch of up to 37 conv columns.  Every GEMM over part
-# of a stack (a block, a set of rescored conv columns) holds at least this
-# many conv columns, or the whole stack, so it runs on the full stack's
-# kernel.
-MIN_RESCORE_COLUMNS = 64
 
 
 def view_columns(profile: ModelProfile, n_tokens: int) -> int:

@@ -112,6 +112,31 @@ def masked_sigmoid(x):
     return out
 
 
+def select_sigmoid(x):
+    """Logistic with the numerator picked per element: 1/(1+e) where
+    x >= 0 and e/(1+e) elsewhere, e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1, e) / (1 + e)
+
+
+def take_embed(emb, tokens):
+    """emb[tokens] (..., t, e), feature-major: one np.take over the whole
+    token array from the transposed (e, vocab) table."""
+    return np.moveaxis(np.take(np.ascontiguousarray(emb.T), tokens, axis=1), 0, -1)
+
+
+def two_gemm_conv_pair(x, starts, t, wa, ba, wb, bb, stride):
+    """The pre-activations (n, j, f) of the views x[s : s+t], s in starts,
+    through an im2col matrix multiplied by wa and by wb in two GEMMs."""
+    f, e, w = wa.shape
+    j = (t - w) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, w, axis=0)  # (T-w+1, e, w)
+    cols = win[(starts[:, None] + stride * np.arange(j)).ravel()].reshape(-1, e * w)
+    a = cols @ wa.reshape(f, e * w).T + ba
+    b = cols @ wb.reshape(f, e * w).T + bb
+    return a.reshape(-1, j, f), b.reshape(-1, j, f)
+
+
 def dense_backward(params, cache, label):
     """Gradients of the BCE loss through a dense (t, e) input gradient,
     accumulated with np.add.at over the pooled positions and then

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from _oracles import naive_zero_runs
-from chunksmooth import kernels
+from _oracles import naive_zero_runs, two_gemm_conv_pair
+from chunksmooth import kernels, neural
 
 
 def _random_case(rng, n_filters=3, emb=5, window=8, t=40, stride=4, dtype=np.float64):
@@ -91,6 +91,26 @@ def test_conv_pair_is_the_one_chunk_stack_bitwise():
             ma, mb = kernels.conv_pair_many(x[None], wa, ba, wb, bb, stride)
             np.testing.assert_array_equal(a, ma[0])
             np.testing.assert_array_equal(b, mb[0])
+
+
+@pytest.mark.parametrize("profile", ["desk", "original"])
+def test_conv_matches_two_gemms_bitwise(profile):
+    """An im2col matrix of at least MIN_RESCORE_COLUMNS rows is multiplied
+    once by the stacked weights [wa; wb], a smaller one by wa and wb
+    apart; at every row count from 1 to 2,100, and at 8,192, the
+    pre-activations are bitwise those of two separate GEMMs.  At desk size
+    the stacked GEMM differs from them at 19 to 37 rows under OpenBLAS 0.3."""
+    pr = neural.PROFILES[profile]
+    rng = np.random.default_rng(pr.window)
+    f, e, w = pr.n_filters, pr.emb_dim, pr.window
+    x = rng.standard_normal((e, 4 * w), dtype=np.float32).T  # feature-major, as neural.embed stores it
+    wa, wb = (rng.standard_normal((f, e, w), dtype=np.float32) for _ in range(2))
+    ba, bb = (rng.standard_normal(f, dtype=np.float32) for _ in range(2))
+    starts = rng.integers(0, 3 * w + 1, size=8192)  # one column per view
+    for n in [*range(1, 2101), 8192]:
+        got = kernels.conv_pair_views(x, starts[:n], w, wa, ba, wb, bb, pr.stride)
+        want = two_gemm_conv_pair(x, starts[:n], w, wa, ba, wb, bb, pr.stride)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), n
 
 
 def _conv_backward_loops(x, wa, wb, best_j, d_a, d_b, stride):

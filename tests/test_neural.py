@@ -9,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_backward, fd_gradient_check, masked_sigmoid, reference_forward
+from _oracles import (
+    dense_backward,
+    fd_gradient_check,
+    masked_sigmoid,
+    reference_forward,
+    select_sigmoid,
+    take_embed,
+    two_gemm_conv_pair,
+)
 from chunksmooth import neural
 from chunksmooth.ablation import ABLATE_TOKEN, AblationConfig, make_views, rs_tokens
 from chunksmooth.errors import (
@@ -462,6 +470,76 @@ def test_sigmoid_matches_masked_form_bitwise(dtype):
     assert neural._sigmoid(stack).tobytes() == masked_sigmoid(stack).tobytes()
     # NaN stays NaN; in float64 its sign bit may differ from the masked form's
     assert np.isnan(neural._sigmoid(np.array([np.nan], dtype=dtype))).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_select_form_bitwise(dtype):
+    """The branch-free sigmoid gives the bits of the form that selects the
+    numerator by sign, NaN sign bits included, on signed zeros, infinities,
+    NaNs, subnormals and the edges of exp's float32 range, at every length
+    up to 70 (numpy's SIMD loops treat an array's tail apart)."""
+    rng = np.random.default_rng(22)
+    tiny = np.finfo(dtype).tiny
+    nan = np.array([np.nan], dtype=dtype)
+    edges = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 8, -tiny / 8, 88.7, -88.7, 104.0, -104.0]
+    special = np.concatenate([np.array(edges, dtype=dtype), nan, -nan])
+    x = np.concatenate([rng.normal(0, 20, 20000).astype(dtype), special])
+    for n in range(1, 71):
+        assert neural._sigmoid(x[-n:]).tobytes() == select_sigmoid(x[-n:]).tobytes()
+    got = neural._sigmoid(x)
+    assert got.dtype == dtype and got.tobytes() == select_sigmoid(x).tobytes()
+    stack = rng.normal(0, 5, (3, 7, 9)).astype(dtype)
+    assert neural._sigmoid(stack).tobytes() == select_sigmoid(stack).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["1-D", "2-D"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.intp])
+def test_embed_matches_one_take_bitwise(dtype, shape):
+    """The blocked gather gives the values and the feature-major layout of
+    one np.take over the whole token array, at lengths on either side of a
+    gather block, with ABLATE_TOKEN among the tokens where the dtype holds
+    it."""
+    rng = np.random.default_rng(23)
+    params = init_params(DESK, seed=23)
+    params.emb[5, 3] = -0.0
+    block = neural.EMBED_BLOCK
+    hi = 256 if dtype == np.uint8 else ABLATE_TOKEN + 1
+    for n in (1, block - 1, block, block + 1, 65_536):
+        tokens = rng.integers(0, hi, size=(3, n) if shape == "2-D" else n).astype(dtype)
+        if dtype != np.uint8:
+            tokens.flat[::7] = ABLATE_TOKEN
+        got, want = neural.embed(params, tokens), take_embed(params.emb, tokens)
+        assert got.shape == want.shape == (*tokens.shape, DESK.emb_dim)
+        assert got.tobytes() == want.tobytes()
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_chunk_scorer_matches_two_gemms_bitwise(profile, monkeypatch):
+    """Fresh and rescoring calls of a ChunkScorer give the bits of one run
+    whose conv GEMMs multiply by wa and wb apart: the fresh call's vote
+    blocks and rescoring blocks of a few cells up to every cell."""
+    params = init_params(profile, seed=15)
+    rng = np.random.default_rng(15)
+    file_len, g, L = 45_000, 2250, 100
+    data = rng.integers(0, 256, size=file_len, dtype=np.uint8)
+    starts = np.arange(L) * (file_len - g) // (L - 1)
+    edits = [data]
+    for lo, size in ((7000, 10), (100, 3000), (20_000, 9000), (0, file_len)):
+        edited = edits[-1].copy()
+        edited[lo : lo + size] ^= 0x5A
+        edits.append(edited)
+    scorer = neural.ChunkScorer(params)
+    want_blocks = []
+    for tokens in edits:
+        want_blocks.append([b.copy() for b in scorer(tokens, starts, g)])
+    monkeypatch.setattr(neural.kernels, "conv_pair_views", two_gemm_conv_pair)
+    scorer = neural.ChunkScorer(params)
+    for tokens, want in zip(edits, want_blocks):
+        got = list(scorer(tokens, starts, g))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_backward_matches_dense_backward_bitwise():
