@@ -24,7 +24,7 @@ them straight from the file and the starts (neural.ChunkScorer, which also
 finds the conv columns an edit touched from them), and certify_inplace
 counts the windows a region touches from them (count_touching).  rs views
 have no starts: they are rows of one int32 token array (make_views), drawn
-and scored one block of views at a time.
+and scored one view at a time (neural.score_blocks).
 
 The placement in the published pseudocode for the evenly spaced sampler
 is not offered.  Its formulas are internally inconsistent: the stride

@@ -241,10 +241,9 @@ def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
     return view_heads(params, gate(a, b).max(axis=1))
 
 
-# A block of views is scored by one forward_scores call whose im2col matrix
-# holds at most this many float32 values (16 MiB): 8,192 conv columns on
-# desk, 1,048 on original.  The working set of a view stack is then one
-# block, not the whole stack.
+# A budgeted block's im2col matrix holds at most this many float32 values
+# (16 MiB): 8,192 conv columns on desk, 1,048 on original.  view_blocks and
+# vote_blocks keep it; score_views scores one view per block instead.
 BLOCK_ELEMENTS = 1 << 22
 
 
@@ -270,8 +269,9 @@ def _blocks(profile: ModelProfile, n_views: int, n_tokens: int, first: int, step
 
 
 def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]:
-    """Boundaries [0, ..., n_views] of the consecutive blocks score_views
-    cuts a stack of n_views views of n_tokens tokens into.
+    """Boundaries [0, ..., n_views] of the consecutive budgeted blocks of a
+    stack of n_views views of n_tokens tokens; ChunkScorer._rescore cuts
+    its changed cells (one-column views) into these.
 
     Each block holds at least one view, and at least MIN_RESCORE_COLUMNS
     conv columns unless it is the whole stack: a remainder with fewer joins
@@ -279,6 +279,16 @@ def view_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]
     at most BLOCK_ELEMENTS values, unless the block is one view, or the
     last block with such a remainder."""
     return _blocks(profile, n_views, n_tokens, n_views, n_views)
+
+
+def score_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]:
+    """Boundaries [0, ..., n_views] of the consecutive blocks score_views
+    cuts a stack of n_views views of n_tokens tokens into: one view each,
+    or the fewest consecutive views that hold MIN_RESCORE_COLUMNS conv
+    columns; a remainder with fewer joins the block before it.  A block
+    then allocates what one ns forward of a view allocates, and glibc does
+    not hand a block's arrays back to the kernel after each block."""
+    return _blocks(profile, n_views, n_tokens, 1, 1)
 
 
 # A vote over L views is settled once one side holds a majority: ceil(L/2)
@@ -299,8 +309,9 @@ def vote_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]
     """Boundaries [0, ..., n_views] of the blocks ChunkScorer scores a
     fresh call's views in: at most floor(L/2)+1 views in the first block;
     in each later one ceil(L/VOTE_STEPS) views, or enough views to hold
-    VOTE_BLOCK_ELEMENTS im2col values; all within view_blocks' budget and
-    column floor, and a short last block joins the one before it."""
+    VOTE_BLOCK_ELEMENTS im2col values; all within BLOCK_ELEMENTS and the
+    column floor of view_blocks, and a short last block joins the one
+    before it."""
     per_view = view_columns(profile, n_tokens) * profile.emb_dim * profile.window
     step = max(-(-n_views // VOTE_STEPS), -(-VOTE_BLOCK_ELEMENTS // per_view))
     return _blocks(profile, n_views, n_tokens, n_views // 2 + 1, step)
@@ -308,7 +319,7 @@ def vote_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int]
 
 def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> Iterator[np.ndarray]:
     """Scores of n_views views of n_tokens tokens, one array per block
-    (view_blocks) in view order, each scored by one forward_scores call
+    (score_blocks) in view order, each scored by one forward_scores call
     when the iterator reaches it.  rows(a, b) returns views [a, b) as a 2-D
     stack and is called once per block, for consecutive blocks in order, so
     only one block of views need exist at a time, and a caller that stops
@@ -318,7 +329,7 @@ def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> Ite
     Concatenated, bitwise the scores of one forward_scores call on the
     whole stack, since a view's score depends on its own tokens only and
     every block runs on the whole stack's GEMM kernel."""
-    bounds = view_blocks(params.profile, n_views, n_tokens)
+    bounds = score_blocks(params.profile, n_views, n_tokens)
     for a, b in zip(bounds, bounds[1:]):
         yield forward_scores(params, rows(a, b))
 
@@ -376,9 +387,7 @@ class ChunkScorer:
         at = np.flatnonzero(tokens != self._tokens)
         if not at.size:
             return self._pooled.copy()
-        # cs(x), the number of changed tokens before x, is searchsorted(at, x):
-        # the cell's window covers a changed token when cs(pos + window) > cs(pos)
-        changed = np.searchsorted(at, self._pos + pr.window) > np.searchsorted(at, self._pos)
+        changed = _covering_cells(self._pos, pr.window, at)
         short = min(changed.size, MIN_RESCORE_COLUMNS) - int(np.count_nonzero(changed))
         if short > 0:
             changed[np.flatnonzero(~changed)[:short]] = True
@@ -399,6 +408,22 @@ class ChunkScorer:
         p, pr = self.params, self.params.profile
         a, b = kernels.conv_pair_views(xt.T, pos, pr.window, p.wa, p.ba, p.wb, p.bb, pr.stride)
         return gate(a[:, 0], b[:, 0])
+
+
+def _covering_cells(pos: np.ndarray, window: int, at: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose window [pos, pos + window) covers one of the
+    sorted changed positions at, of which there is at least one.
+
+    Changed tokens at most a window apart form a run, and a window that
+    starts inside a run covers one of its tokens.  So a cell covers a
+    changed token exactly when it starts after its run's first token minus
+    the window and at or before its last token, for the first run that
+    ends at or after the cell's start: one searchsorted of the cells into
+    the run ends."""
+    split = np.diff(at) > window
+    last = at[np.concatenate((split, [True]))]
+    reach = np.concatenate((at[np.concatenate(([True], split))] - window, [np.iinfo(at.dtype).max]))
+    return reach[np.searchsorted(last, pos)] < pos
 
 
 def bce_loss(score: float, label: int) -> float:

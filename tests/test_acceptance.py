@@ -126,8 +126,11 @@ def test_criterion_2_vote_math(monkeypatch):
         for _ in range(1000):
             L = int(rng.integers(1, 200))
             scores = rng.random(L)
+            # each call, one per block of views, is served the next block's scores
             monkeypatch.setattr(
-                smoothing.neural, "forward_scores", lambda p, views, s=scores: np.array(s)
+                smoothing.neural,
+                "forward_scores",
+                lambda p, views, s=iter(scores): np.fromiter(s, dtype=float, count=len(views)),
             )
             spec = DetectorSpec(
                 kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=L)

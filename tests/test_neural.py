@@ -264,14 +264,14 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     """Blocked scoring gives the bits of one forward_scores call over the
     whole stack.  So does a prediction, which scores chunk views from the
     file and their starts with one embedding gather per file (views
-    shorter than the conv window go through the padded stack).  At L=100
-    the long views (6,000 tokens) cross the block budget of both
-    profiles."""
+    shorter than the conv window go through the padded stack).  Blocked
+    scoring cuts a stack of more than one long view (6,000 tokens) into
+    more than one block."""
     view_len = {"short": profile.window - 1, "window": profile.window, "long": 6000}[length]
     params = init_params(profile, seed=n_views)
     data, spec, tokens = _views(kind, n_views, view_len)
-    if length == "long" and n_views == 100:
-        assert len(neural.view_blocks(profile, n_views, view_len)) > 2
+    if length == "long" and n_views > 1:
+        assert len(neural.score_blocks(profile, n_views, view_len)) > 2
     want = forward_scores(params, tokens)
     got = np.concatenate(list(neural.score_views(params, n_views, view_len, lambda a, b: tokens[a:b])))
     np.testing.assert_array_equal(got, want)
@@ -283,18 +283,21 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
 
 
 @pytest.mark.parametrize(
-    "profile, n_views, n_tokens, blocks",
-    [(DESK, 819, 1280, [409, 410]), (ORIGINAL, 69, 15_000, [34, 35])],
-    ids=["desk", "original"],
+    "profile, n_views, n_tokens", [(DESK, 9, 1280), (ORIGINAL, 7, 15_000)], ids=["desk", "original"]
 )
-def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens, blocks, monkeypatch):
-    """Views of 20 (desk) or 30 (original) columns: full blocks would leave
-    one view, below MIN_RESCORE_COLUMNS, so it joins the block before.
-    Scored as a block of its own, the desk view's score differs from the
-    whole stack's in its last bits under OpenBLAS 0.3."""
+def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens, monkeypatch):
+    """Views of 20 (desk) or 30 (original) columns: a block holds the fewest
+    views that reach MIN_RESCORE_COLUMNS (4 or 3), and full blocks would
+    leave one view, below the floor, so it joins the block before.  Scored
+    as a block of its own, the desk view's score differs from the whole
+    stack's in its last bits under OpenBLAS 0.3."""
     params = init_params(profile, seed=11)
     stack = np.random.default_rng(11).integers(0, 257, size=(n_views, n_tokens)).astype(np.int32)
     want = forward_scores(params, stack)
+    bounds = neural.score_blocks(profile, n_views, n_tokens)
+    blocks = [b - a for a, b in zip(bounds, bounds[1:])]
+    floor = -(-neural.MIN_RESCORE_COLUMNS // neural.view_columns(profile, n_tokens))
+    assert len(blocks) > 1 and blocks[:-1] == [floor] * (len(blocks) - 1) and blocks[-1] == floor + 1
     calls = []
 
     def counted(p, views):
@@ -307,19 +310,41 @@ def test_score_views_merges_a_short_remainder_bitwise(profile, n_views, n_tokens
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
+def test_rs_scores_from_one_view_blocks_match_one_forward_scores_call(profile):
+    """rs scores, one view per block or the fewest views that hold
+    MIN_RESCORE_COLUMNS columns, are bitwise one forward_scores call over
+    make_views' whole stack: for files whose views hold fewer than 64
+    columns, so that the floor groups several views (with a short
+    remainder joining the last block or not), and for longer ones."""
+    params = init_params(profile, seed=15)
+    cfg = AblationConfig(scheme="rs", p=0.05, n_views=100)
+    spec = DetectorSpec(kind="rs", ablation=cfg)
+    lengths = [profile.window + k * profile.stride for k in (0, 1, 6, 19, 22, 40, 63, 64, 90)]
+    grouped = 0
+    for file_len in lengths:
+        data = np.random.default_rng(file_len).integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
+        bounds = neural.score_blocks(profile, cfg.n_views, file_len)
+        grouped += max(b - a for a, b in zip(bounds, bounds[1:])) > 1
+        want = forward_scores(params, make_views(data, cfg, content_rng(cfg.seed, data)))
+        scores, _, _ = _view_scores(params, spec, data)
+        np.testing.assert_array_equal(scores, want)
+    assert 0 < grouped < len(lengths)
+
+
 @pytest.mark.parametrize(
     "profile, n_views, file_len", [(DESK, 100, 20_000), (ORIGINAL, 60, 20_000)], ids=["desk", "original"]
 )
 def test_rs_views_are_drawn_and_scored_one_block_at_a_time(profile, n_views, file_len, monkeypatch):
-    """An rs prediction draws its views one block at a time, and scores
-    each block with one forward_scores call.  The blocks' rows are L
+    """An rs prediction draws its views one block (here one view) at a
+    time, and scores each block with one forward_scores call.  The blocks' rows are L
     sequential rs_tokens draws from the view rng, the rows of make_views,
     and the scores are bitwise one forward_scores call over make_views."""
     params = init_params(profile, seed=12)
     data = np.random.default_rng(12).integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
     cfg = AblationConfig(scheme="rs", p=0.05, n_views=n_views)
     spec = DetectorSpec(kind="rs", ablation=cfg)
-    bounds = neural.view_blocks(profile, n_views, file_len)
+    bounds = neural.score_blocks(profile, n_views, file_len)
     assert len(bounds) - 1 >= 3
     views = make_views(data, cfg, content_rng(cfg.seed, data))
     draws = content_rng(cfg.seed, data)
@@ -411,6 +436,27 @@ def test_chunk_scorer_keeps_nothing_from_a_call_left_early(profile, monkeypatch)
             else:
                 assert 0 < sum(seen) < cells
             np.testing.assert_array_equal(got, fresh(tokens))
+
+
+def test_covering_cells_match_counting_changes_under_each_window():
+    """The cells ChunkScorer rescores, found from runs of changed tokens,
+    are those whose window holds more changed tokens before its end than
+    before its start (two searchsorted calls), on random cells and changes
+    that include pairs of changes window-1, window and window+1 apart."""
+    rng = np.random.default_rng(16)
+    for _ in range(5000):
+        window = int(rng.integers(1, 600))
+        stride = int(rng.integers(1, window + 1))
+        n_tokens = int(rng.integers(window, 5000))
+        columns = int(rng.integers(1, (n_tokens - window) // stride + 2))
+        starts = np.sort(rng.integers(0, n_tokens - window + 1, size=int(rng.integers(1, 20))))
+        pos = (starts[:, None] + stride * np.arange(columns)).ravel()
+        pos = pos[pos + window <= n_tokens]
+        base = rng.integers(0, n_tokens, size=int(rng.integers(1, 40)))
+        pairs = base + rng.choice([window - 1, window, window + 1], size=base.size)
+        at = np.unique(np.concatenate([base, pairs[pairs < n_tokens]]))
+        want = np.searchsorted(at, pos + window) > np.searchsorted(at, pos)
+        np.testing.assert_array_equal(neural._covering_cells(pos, window, at), want)
 
 
 # -- loss --------------------------------------------------------------------------

@@ -50,16 +50,17 @@ def test_traced_functions_exist_and_tracer_restores_them():
 
 
 def test_tracer_sees_one_forward_scores_call_per_block():
-    """An rs prediction over the block budget (100 desk views of 312
-    columns, four blocks) reaches the tracer as one self-contained
+    """An rs prediction of L = REPLAY_EVERY desk views of 312 columns, one
+    view per block, reaches the tracer as one self-contained
     forward_scores call per block: the views add up to L, the every-fourth
     replay of the embedding gather and gate/pool/head runs on a block, and
     the scores are those of the untraced run."""
     spans = _load_spans()
+    L = spans.REPLAY_EVERY
     params = neural.init_params(neural.PROFILES["desk"], seed=4)
     data = np.random.default_rng(4).integers(0, 256, size=20_000, dtype=np.uint8).tobytes()
-    spec = smoothing.DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.05, n_views=100))
-    assert len(neural.view_blocks(params.profile, 100, len(data))) - 1 == spans.REPLAY_EVERY
+    spec = smoothing.DetectorSpec(kind="rs", ablation=AblationConfig(scheme="rs", p=0.05, n_views=L))
+    assert len(neural.score_blocks(params.profile, L, len(data))) - 1 == spans.REPLAY_EVERY
     want = smoothing.predict_smoothed(params, spec, data)
 
     before = _module_attributes(spans)
@@ -73,7 +74,7 @@ def test_tracer_sees_one_forward_scores_call_per_block():
     assert got == want
     calls = [s for s in tracer.spans if s["name"] == "neural.forward_scores"]
     assert len(calls) == spans.REPLAY_EVERY
-    assert tracer.counts["views"] == 100
+    assert tracer.counts["views"] == L
     assert len(tracer.replay["embed_gather"]) == len(tracer.replay["gate_pool_head"]) == 1
 
 
