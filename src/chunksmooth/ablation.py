@@ -19,12 +19,14 @@ chunk schemes, l for rs.  The model right-pads an input shorter than its
 conv window to that window, so a view stack is always rectangular.
 
 A chunk scheme's views are an int64 array of starts plus their common
-length g (sca_starts, rca_starts).  Predictions and attack oracles score
-them straight from the file and the starts (neural.ChunkScorer, which also
-finds the conv columns an edit touched from them), and certify_inplace
-counts the windows a region touches from them (count_touching).  rs views
-have no starts: they are rows of one int32 token array (make_views), drawn
-and scored one view at a time (neural.score_blocks).
+length g (sca_starts, rca_starts); make_views builds no token stack of
+them.  Predictions and attack oracles score them straight from the file
+and the starts (smoothing.view_scorer, through neural.ChunkScorer, which
+also finds the conv columns an edit touched from them), and
+certify_inplace counts the windows a region touches from them
+(count_touching).  rs views have no starts: they are rows of one int32
+token array (make_views), drawn and scored one block at a time
+(neural.score_blocks).
 
 The placement in the published pseudocode for the evenly spaced sampler
 is not offered.  Its formulas are internally inconsistent: the stride
@@ -108,28 +110,19 @@ def rs_tokens(data: bytes, cfg: AblationConfig, rng: np.random.Generator) -> np.
     return np.where(keep, raw, np.int32(ABLATE_TOKEN))
 
 
-def make_views(data: bytes, cfg: AblationConfig, rng: np.random.Generator | None = None) -> np.ndarray:
-    """The L inference views of one file under cfg, as one (L, t) int32
-    array: t = g bytes per chunk view, the whole file per rs view.
-
-    rca and rs consume the rng (pass one derived from (cfg.seed, file));
-    sca ignores it and is a pure function of (len(data), cfg).  rs draws one
-    rs_tokens mask per view, in view order, so consecutive calls on one rng
-    with n_views = L_1, ..., L_n give the rows of one call with their sum.
+def make_views(data: bytes, cfg: AblationConfig, rng: np.random.Generator) -> np.ndarray:
+    """The L rs views of one file under cfg, as one (L, len(data)) int32
+    array: one rs_tokens draw from rng per view, in view order, so
+    consecutive calls on one rng with n_views = L_1, ..., L_n give the
+    rows of one call with their sum.  A chunk scheme's views are starts
+    and a length (sca_starts, rca_starts), so its cfg raises ConfigInvalid.
     """
-    if cfg.scheme == "sca":
-        starts, g = sca_starts(len(data), cfg)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
-        if cfg.scheme == "rs":
-            views = np.empty((cfg.n_views, len(data)), dtype=np.int32)
-            for view in views:
-                view[:] = rs_tokens(data, cfg, rng)
-            return views
-        starts, g = rca_starts(len(data), cfg, rng)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    return np.lib.stride_tricks.sliding_window_view(raw, g)[starts].astype(np.int32)
+    if cfg.scheme != "rs":
+        raise ConfigInvalid(f"make_views draws rs views; {cfg.scheme} views are starts (sca_starts, rca_starts)")
+    views = np.empty((cfg.n_views, len(data)), dtype=np.int32)
+    for view in views:
+        view[:] = rs_tokens(data, cfg, rng)
+    return views
 
 
 def count_touching(starts: np.ndarray, g: int, region: tuple[int, int]) -> int:

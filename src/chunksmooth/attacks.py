@@ -57,7 +57,8 @@ def make_oracle(params, spec: smoothing.DetectorSpec) -> DetectorOracle:
     """Maliciousness score plus label, with the results of predict_plain
     (ns) and predict_smoothed, from the view scores of one
     smoothing.view_scorer kept across queries; for vote detectors the
-    score is the malicious vote share."""
+    score is the malicious vote share.  A query that scores a view NaN or
+    infinite raises NonFiniteScore, as the predictions do."""
     scores_of = smoothing.view_scorer(params, spec)
 
     def fn(data: bytes):

@@ -56,18 +56,6 @@ def _splits(corpus_dir: str):
 # -- subcommands -------------------------------------------------------------------
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigInvalid(f"--ratios expects three comma-separated fractions, got {text!r}")
-    try:
-        ratios = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigInvalid(f"--ratios expects numbers, got {text!r}") from exc
-    corpus.check_ratios(ratios)
-    return ratios
-
-
 def cmd_gen_corpus(args) -> int:
     cfg = SynthConfig(
         n_files=args.n_files,
@@ -75,10 +63,10 @@ def cmd_gen_corpus(args) -> int:
         malicious_ratio=args.malicious_ratio,
         seed=args.seed,
     )
-    ratios = _parse_ratios(args.ratios)
     manifest, _ = corpus.synth_corpus(cfg, Path(args.out))
     corpus.write_manifest(manifest, Path(args.out) / "manifest.csv")
-    for name, split in zip(("train", "val", "test"), temporal_split(manifest, ratios)):
+    # the split that train and evaluate --split also take from manifest.csv
+    for name, split in zip(("train", "val", "test"), temporal_split(manifest)):
         corpus.write_manifest(split, Path(args.out) / f"manifest.{name}.csv")
     n_mal = len(manifest.malicious())
     print(f"wrote {len(manifest.entries)} files ({n_mal} malicious) under {args.out}")
@@ -220,7 +208,6 @@ def build_parser() -> tuple[
     p.add_argument("--size-min", type=int, default=SynthConfig.size_range[0])
     p.add_argument("--size-max", type=int, default=SynthConfig.size_range[1])
     p.add_argument("--malicious-ratio", type=float, default=SynthConfig.malicious_ratio)
-    p.add_argument("--ratios", default="0.8,0.1,0.1", help="train,val,test split fractions")
     p.set_defaults(func=cmd_gen_corpus)
 
     p = commands["train"] = sub.add_parser("train", help="train a detector and write a checkpoint")

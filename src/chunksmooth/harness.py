@@ -407,19 +407,7 @@ def render_table(rows: list[RobustnessRow]) -> str:
 def write_table_csv(rows: list[RobustnessRow], path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "attack",
-                "detector",
-                "params",
-                "n_files",
-                "n_seeds",
-                "clean_accuracy",
-                "adversarial_accuracy",
-                "std",
-                "mean_queries",
-            ]
-        )
+        writer.writerow([f.name for f in fields(RobustnessRow)])
         for r in rows:
             writer.writerow(
                 [

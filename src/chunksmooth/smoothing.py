@@ -120,7 +120,8 @@ class PlainPrediction:
 @dataclass(frozen=True)
 class SmoothedPrediction:
     """A vote over L views: their scores in view order, their starts
-    (None for rs, whose views have none) and their common length g."""
+    (None for rs, whose views have none) and their common length g.
+    Chunk view i is data[starts[i] : starts[i] + g]."""
 
     kind: str
     p: float
@@ -151,7 +152,7 @@ def content_rng(seed: int, data: bytes) -> np.random.Generator:
 def _finite(scores):
     """scores, if each is finite.  Finite weights whose conv overflows
     score NaN, which no vote or record can hold."""
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():  # the method costs half of np.all on a one-score block
         raise NonFiniteScore("the model scored a view NaN or infinite")
     return scores
 
@@ -168,8 +169,10 @@ def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
     the views spec's detector votes over, in consecutive blocks of whole
     views in view order, with the views' starts and length g.  A block is
     scored when the iterator reaches it, so a caller that stops early
-    scores no more views.  This is the one place that maps a detector to
-    its views and their scorer.
+    scores no more views; a block holding a score that is not finite
+    raises NonFiniteScore when it is reached.  This is the one place that
+    maps a detector to its views and their scorer, and that checks their
+    scores, for predictions and attack oracles alike.
 
     ns is one view of the whole file (starts [0], g its length), scored
     as forward scores it.  sca's starts are a pure function of len(data);
@@ -184,7 +187,7 @@ def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
     cfg, window = spec.ablation, params.profile.window
     chunks = neural.ChunkScorer(params)
 
-    def scores(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
+    def unchecked(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
         tokens = np.frombuffer(data, dtype=np.uint8)
         if spec.kind == "ns":
             starts = np.zeros(1, dtype=np.int64)
@@ -207,6 +210,10 @@ def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
             return neural.score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]]), starts, g
         return (neural.view_heads(params, pooled) for pooled in chunks(tokens, starts, g)), starts, g
 
+    def scores(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
+        blocks, starts, g = unchecked(data)
+        return map(_finite, blocks), starts, g
+
     return scores
 
 
@@ -227,7 +234,7 @@ def predict_smoothed(params: neural.MalConvParams, spec: DetectorSpec, data: byt
     if spec.kind == "ns":
         raise ConfigInvalid("predict_smoothed needs an ablation-based detector; use predict_plain")
     blocks, starts, g = view_scorer(params, spec)(data)
-    scores = _finite(np.concatenate(list(blocks)))
+    scores = np.concatenate(list(blocks))
     votes, probabilities, label = tally_votes(scores)
     return SmoothedPrediction(
         kind=spec.kind,
@@ -257,7 +264,7 @@ def predict(params: neural.MalConvParams, spec: DetectorSpec, data: bytes) -> st
     n_views, scored, malicious = spec.ablation.n_views, 0, 0
     for scores in view_scorer(params, spec)(data)[0]:
         scored += scores.size
-        malicious += int(np.count_nonzero(_finite(scores) >= VOTE_THRESHOLD))
+        malicious += int(np.count_nonzero(scores >= VOTE_THRESHOLD))
         if 2 * malicious >= n_views or 2 * (scored - malicious) > n_views:
             break
     return LABEL_MALICIOUS if 2 * malicious >= n_views else LABEL_BENIGN

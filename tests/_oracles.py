@@ -230,6 +230,13 @@ def rca_windows(file_len, cfg, rng):
     return [range(s, s + g) for s in starts.tolist()]
 
 
+def window_stack(data, windows):
+    """The chunk views of data at windows as one (L, g) int32 token stack,
+    one row per window, each row sliced from the bytes: the stack the
+    package's chunk-view scores are checked against."""
+    return np.stack([np.frombuffer(data[w.start : w.stop], dtype=np.uint8) for w in windows]).astype(np.int32)
+
+
 def windows_touching(windows, region):
     """Indices of the windows with a non-empty intersection with [region),
     by a scan of the list: the reference count_touching is checked

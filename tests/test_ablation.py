@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_touch_count, rca_windows, sca_windows, windows_touching
+from _oracles import naive_touch_count, rca_windows, sca_windows, window_stack, windows_touching
+from chunksmooth import neural
 from chunksmooth.ablation import (
     ABLATE_TOKEN,
     MAX_VIEWS,
@@ -22,7 +23,7 @@ from chunksmooth.ablation import (
     training_start,
 )
 from chunksmooth.errors import ConfigInvalid
-from chunksmooth.smoothing import DetectorSpec, _training_tokens
+from chunksmooth.smoothing import DetectorSpec, _training_tokens, content_rng, predict_smoothed
 
 
 def _sca_cfg(n_views=100, p=0.05, **kw):
@@ -151,12 +152,16 @@ def test_sca_100_views_overlap_band():
 
 
 def test_sca_is_deterministic_and_ignores_rng():
+    """sca's windows are a pure function of (file length, cfg): two files
+    of one length, whose content rngs differ, are voted over at the same
+    starts, the oracle's windows."""
     cfg = _sca_cfg(n_views=33)
     assert sca_windows(12345, cfg) == sca_windows(12345, cfg)
-    data = bytes(range(256)) * 10
-    v1 = make_views(data, cfg, np.random.default_rng(1))
-    v2 = make_views(data, cfg, np.random.default_rng(999))
-    np.testing.assert_array_equal(v1, v2)
+    params = neural.init_params(neural.PROFILES["desk"], seed=1)
+    spec = DetectorSpec(kind="sca", ablation=cfg)
+    want = tuple(w.start for w in sca_windows(2560, cfg))
+    for data in (bytes(range(256)) * 10, bytes(reversed(range(256))) * 10):
+        assert predict_smoothed(params, spec, data).starts == want
 
 
 def test_sca_single_view():
@@ -204,19 +209,26 @@ def test_rs_determinism_per_rng():
 
 
 def test_make_views_chunk_payloads_match_file_bytes():
+    """make_views draws rs views only.  A chunk detector's views are its
+    prediction's starts and g: the oracle's windows (rca's drawn from the
+    content rng), scored bitwise as the stack of the file bytes there."""
     rng = np.random.default_rng(9)
     data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
+    params = neural.init_params(neural.PROFILES["desk"], seed=9)
     for scheme in ("rca", "sca"):
         cfg = AblationConfig(scheme=scheme, p=0.05, n_views=25)
-        views = make_views(data, cfg, np.random.default_rng(2))
+        with pytest.raises(ConfigInvalid):
+            make_views(data, cfg, np.random.default_rng(2))
         if scheme == "sca":
             windows = sca_windows(len(data), cfg)
         else:
-            windows = rca_windows(len(data), cfg, np.random.default_rng(2))
-        assert views.shape == (25, chunk_length(len(data), 0.05)) and views.dtype == np.int32
-        for row, w in zip(views, windows):
-            expect = np.frombuffer(data[w.start : w.stop], dtype=np.uint8)
-            np.testing.assert_array_equal(row, expect.astype(np.int32))
+            windows = rca_windows(len(data), cfg, content_rng(cfg.seed, data))
+        pred = predict_smoothed(params, DetectorSpec(kind=scheme, ablation=cfg), data)
+        assert pred.starts == tuple(w.start for w in windows)
+        assert pred.g == chunk_length(len(data), 0.05) == len(windows[0])
+        stack = window_stack(data, windows)
+        assert stack.shape == (25, pred.g)
+        np.testing.assert_array_equal(pred.scores, neural.forward_scores(params, stack))
 
 
 def test_make_views_rs_has_no_window():
@@ -226,15 +238,6 @@ def test_make_views_rs_has_no_window():
     assert views.shape == (7, 100) and views.dtype == np.int32
     # distinct draws across views
     assert any(not np.array_equal(views[0], v) for v in views[1:])
-
-
-def test_make_views_default_rng_comes_from_config_seed():
-    data = bytes(range(100))
-    cfg = AblationConfig(scheme="rca", p=0.1, n_views=5, seed=13)
-    v1 = make_views(data, cfg)
-    v2 = make_views(data, cfg)
-    np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(v1, make_views(data, cfg, np.random.default_rng(13)))
 
 
 def test_window_tokens_is_a_view_of_the_right_bytes():
@@ -318,18 +321,17 @@ def test_windows_always_legal(p, n_views, scheme, data):
         st.one_of(st.integers(1, 200), st.integers(1, 4096 if scheme == "rs" else 10**6)), label="l"
     )
     cfg = AblationConfig(scheme=scheme, p=p, n_views=n_views)
-    views = make_views(bytes(l), cfg, np.random.default_rng(123))
-    # one length for every view: a view stack is always rectangular
-    assert views.ndim == 2 and views.shape[0] == n_views
     if scheme == "rs":
-        assert views.shape[1] == l
+        views = make_views(bytes(l), cfg, np.random.default_rng(123))
+        assert views.shape == (n_views, l)
         return
+    # one length for every view: a view stack is always rectangular
     g = chunk_length(l, p)
-    assert views.shape[1] == g
     if scheme == "sca":
         ws = sca_windows(l, cfg)
     else:
         ws = rca_windows(l, cfg, np.random.default_rng(123))
+    assert len(ws) == n_views
     for w in ws:
         assert 0 <= w.start < w.stop <= l
         assert len(w) == g

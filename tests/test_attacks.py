@@ -9,9 +9,16 @@ byte-exact recovery of the original outside declared edits.
 import numpy as np
 import pytest
 
-from _oracles import bytes_match_outside, insertion_recovers, padding_recovers, sca_windows, windows_touching
+from _oracles import (
+    bytes_match_outside,
+    insertion_recovers,
+    padding_recovers,
+    sca_windows,
+    window_stack,
+    windows_touching,
+)
 from chunksmooth import attacks, kernels, neural, pe, smoothing
-from chunksmooth.ablation import AblationConfig, make_views, sca_starts
+from chunksmooth.ablation import AblationConfig, sca_starts
 from chunksmooth.attacks import (
     CavesConfig,
     DetectorOracle,
@@ -197,9 +204,9 @@ def test_make_oracle_matches_direct_predictions():
 
 
 def _fresh_scores(params, cfg, data):
-    """Every view of data scored afresh, as one forward_scores call on the
-    stack of its views."""
-    return neural.forward_scores(params, make_views(data, cfg))
+    """Every sca view of data scored afresh, as one forward_scores call on
+    the stack of the oracle's windows."""
+    return neural.forward_scores(params, window_stack(data, sca_windows(len(data), cfg)))
 
 
 def _edit_views(data, g, rows, rng):

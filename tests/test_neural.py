@@ -13,10 +13,13 @@ from _oracles import (
     dense_backward,
     fd_gradient_check,
     masked_sigmoid,
+    rca_windows,
     reference_forward,
+    sca_windows,
     select_sigmoid,
     take_embed,
     two_gemm_conv_pair,
+    window_stack,
 )
 from chunksmooth import neural
 from chunksmooth.ablation import ABLATE_TOKEN, AblationConfig, make_views, rs_tokens
@@ -244,16 +247,24 @@ def _view_scores(params, spec, data):
 
 def _views(kind, n_views, view_len):
     """A file, the spec of one detector whose views of that file hold
-    view_len tokens, and the views' tokens: rs views are the whole file,
-    chunk views at p = 0.05 a twentieth of it."""
+    view_len tokens, the views' tokens and their windows (None for rs):
+    rs views are the whole file, drawn by make_views; chunk views at
+    p = 0.05 a twentieth of it, at the oracle's windows."""
     file_len = view_len if kind == "rs" else 20 * view_len
     rng = np.random.default_rng([n_views, view_len])
     data = rng.integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
-    spec = DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=n_views))
-    rng = None if kind == "sca" else content_rng(spec.ablation.seed, data)
-    views = make_views(data, spec.ablation, rng)
+    cfg = AblationConfig(scheme=kind, p=0.05, n_views=n_views)
+    windows = None
+    if kind == "rs":
+        views = make_views(data, cfg, content_rng(cfg.seed, data))
+    else:
+        if kind == "sca":
+            windows = sca_windows(file_len, cfg)
+        else:
+            windows = rca_windows(file_len, cfg, content_rng(cfg.seed, data))
+        views = window_stack(data, windows)
     assert views.shape == (n_views, view_len)
-    return data, spec, views
+    return data, DetectorSpec(kind=kind, ablation=cfg), views, windows
 
 
 @pytest.mark.parametrize("profile", [DESK, ORIGINAL], ids=["desk", "original"])
@@ -269,7 +280,7 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     more than one block."""
     view_len = {"short": profile.window - 1, "window": profile.window, "long": 6000}[length]
     params = init_params(profile, seed=n_views)
-    data, spec, tokens = _views(kind, n_views, view_len)
+    data, spec, tokens, windows = _views(kind, n_views, view_len)
     if length == "long" and n_views > 1:
         assert len(neural.score_blocks(profile, n_views, view_len)) > 2
     want = forward_scores(params, tokens)
@@ -277,9 +288,11 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     np.testing.assert_array_equal(got, want)
     scores, starts, g = _view_scores(params, spec, data)
     np.testing.assert_array_equal(scores, want)
-    np.testing.assert_array_equal(predict_smoothed(params, spec, data).scores, want)
+    pred = predict_smoothed(params, spec, data)
+    np.testing.assert_array_equal(pred.scores, want)
     if kind != "rs":
-        assert g == view_len and starts.size == n_views
+        assert g == pred.g == view_len
+        assert tuple(starts.tolist()) == pred.starts == tuple(w.start for w in windows)
 
 
 @pytest.mark.parametrize(

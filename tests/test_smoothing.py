@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import exhaustive_flip_invariant, tally_oracle, vote_oracle, windows_touching
-from chunksmooth import harness, kernels, neural, smoothing
+from chunksmooth import attacks, harness, kernels, neural, smoothing
 from chunksmooth.ablation import AblationConfig, sca_starts
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
 from chunksmooth.errors import ConfigInvalid, DataError, NonFiniteScore, NotLengthPreserving, NotSca
@@ -620,11 +620,12 @@ def test_label_only_predict_scores_half_the_views_of_a_unanimous_file(kind, bias
     assert sum(seen) == L
 
 
-@pytest.mark.parametrize("kind", ["sca", "rs"])
+@pytest.mark.parametrize("kind", ["sca", "rca", "rs"])
 def test_predictions_refuse_a_non_finite_score(kind):
     """Finite weights whose conv overflows score NaN (inf pre-activations
-    times gates of exactly 0): predict_plain, predict_smoothed and predict
-    raise NonFiniteScore instead of voting NaN benign."""
+    times gates of exactly 0): predict_plain, predict_smoothed, predict
+    and the attack oracles raise NonFiniteScore instead of voting NaN
+    benign, which an attack counted as an evasion."""
     params = neural.init_params(DESK, seed=7)
     params.emb[...] = 1.0
     params.wa[...] = 3e38
@@ -636,6 +637,8 @@ def test_predictions_refuse_a_non_finite_score(kind):
         lambda: predict(params, DetectorSpec(kind="ns"), data),
         lambda: predict_smoothed(params, spec, data),
         lambda: predict(params, spec, data),
+        lambda: attacks.make_oracle(params, DetectorSpec(kind="ns"))(data),
+        lambda: attacks.make_oracle(params, spec)(data),
     ):
         with pytest.raises(NonFiniteScore), np.errstate(over="ignore", invalid="ignore"):
             call()
