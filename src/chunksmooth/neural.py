@@ -164,13 +164,13 @@ def embed(params: MalConvParams, tokens: np.ndarray) -> np.ndarray:
     return np.moveaxis(out.reshape(e, *np.shape(tokens)), 0, -1)
 
 
-def _pad_tokens(tokens: np.ndarray, window: int) -> np.ndarray:
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ShapeMismatch("tokens must be a non-empty 1-D array")
-    if tokens.size >= window:
-        return np.ascontiguousarray(tokens, dtype=np.int32)
-    pad = np.full(window - tokens.size, ABLATE_TOKEN, dtype=np.int32)
-    return np.concatenate([tokens.astype(np.int32), pad])
+def _pad_views(views: np.ndarray, window: int) -> np.ndarray:
+    """Views (n, t) right-padded with ABLATE_TOKEN to at least window tokens,
+    as a new intp array: np.take's index type, where ABLATE_TOKEN fits."""
+    n, t = views.shape
+    tokens = np.full((n, max(t, window)), ABLATE_TOKEN, dtype=np.intp)
+    tokens[:, :t] = views
+    return tokens
 
 
 @dataclass
@@ -186,7 +186,9 @@ class ForwardCache:
 
 def forward(params: MalConvParams, tokens: np.ndarray) -> ForwardCache:
     pr = params.profile
-    toks = _pad_tokens(tokens, pr.window)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise ShapeMismatch("tokens must be a non-empty 1-D array")
+    (toks,) = _pad_views(tokens[None], pr.window)
     x = embed(params, toks)
     a, b = kernels.conv_pair(x, params.wa, params.ba, params.wb, params.bb, pr.stride)
     gate = _sigmoid(b)
@@ -229,14 +231,7 @@ def forward_scores(params: MalConvParams, views: np.ndarray) -> np.ndarray:
     conv call.  Views shorter than the conv window are right-padded to it
     with ABLATE_TOKEN."""
     pr = params.profile
-    n, t = views.shape
-    # padded and converted in one array of intp, the index type of np.take,
-    # so embed makes no converted copy; a uint8 stack (file bytes) is never
-    # padded in its own dtype, where ABLATE_TOKEN would wrap to 0
-    tokens = np.full((n, max(t, pr.window)), ABLATE_TOKEN, dtype=np.intp)
-    tokens[:, :t] = views
-    xs = embed(params, tokens)
-    del tokens  # not live during the GEMM
+    xs = embed(params, _pad_views(views, pr.window))  # the tokens are not live during the GEMM
     a, b = kernels.conv_pair_many(xs, params.wa, params.ba, params.wb, params.bb, pr.stride)
     return view_heads(params, gate(a, b).max(axis=1))
 
@@ -286,8 +281,8 @@ def score_blocks(profile: ModelProfile, n_views: int, n_tokens: int) -> list[int
     cuts a stack of n_views views of n_tokens tokens into: one view each,
     or the fewest consecutive views that hold MIN_RESCORE_COLUMNS conv
     columns; a remainder with fewer joins the block before it.  A block
-    then allocates what one ns forward of a view allocates, and glibc does
-    not hand a block's arrays back to the kernel after each block."""
+    then allocates what one rs view alone allocates, and glibc does not
+    hand a block's arrays back to the kernel after each block."""
     return _blocks(profile, n_views, n_tokens, 1, 1)
 
 
@@ -323,8 +318,8 @@ def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> Ite
     when the iterator reaches it.  rows(a, b) returns views [a, b) as a 2-D
     stack and is called once per block, for consecutive blocks in order, so
     only one block of views need exist at a time, and a caller that stops
-    early draws no more.  smoothing.view_scorer scores rs views, and chunk
-    views shorter than the conv window, here.
+    early draws no more.  smoothing.view_scorer scores rs views here;
+    every view that is a window of the file goes through ChunkScorer.
 
     Concatenated, bitwise the scores of one forward_scores call on the
     whole stack, since a view's score depends on its own tokens only and
@@ -336,9 +331,11 @@ def score_views(params: MalConvParams, n_views: int, n_tokens: int, rows) -> Ite
 
 class ChunkScorer:
     """The pooled vectors (L, f) of the chunk views tokens[s : s+g] of one
-    file, for s in starts and g of at least the conv window; the caller
-    applies the head.  A cell is one (view, conv column) pair, whose window
-    starts at start + stride*k.  The file is embedded once.
+    file, for s in starts and g >= 1; the caller applies the head.  Views
+    shorter than the conv window are stacked, padded as forward pads them,
+    and what follows holds for that stack, with starts arange(L)*window, in
+    place of the file.  A cell is one (view, conv column) pair, whose
+    window starts at start + stride*k.  The file is embedded once.
 
     A call returns an iterator over the pooled vectors in consecutive
     blocks of whole views, in view order.  A fresh call computes a block's
@@ -361,11 +358,16 @@ class ChunkScorer:
         self._tokens = None
 
     def __call__(self, tokens: np.ndarray, starts: np.ndarray, g: int) -> Iterator[np.ndarray]:
+        pr = self.params.profile
+        if g < pr.window:
+            if g < 1:
+                raise ShapeMismatch("a view must hold at least one token")
+            tokens = _pad_views(tokens[starts[:, None] + np.arange(g)], pr.window).ravel()
+            starts, g = np.arange(starts.size) * pr.window, pr.window
         same = self._tokens is not None and self._tokens.size == tokens.size and self._g == g
         if same and np.array_equal(self._starts, starts):
             yield self._rescore(tokens)
             return
-        pr = self.params.profile
         self._tokens = None  # the kept state is valid again only after the last block
         xt = embed(self.params, tokens).T  # (e, l), the array embed lays out
         columns = view_columns(pr, g)

@@ -158,8 +158,8 @@ def _finite(scores):
 
 
 def predict_plain(params: neural.MalConvParams, data: bytes) -> PlainPrediction:
-    tokens = np.frombuffer(data, dtype=np.uint8).astype(np.int32)
-    score = _finite(neural.forward(params, tokens).score)
+    (scores,) = view_scorer(params, DetectorSpec(kind="ns"))(data)[0]
+    score = float(scores[0])
     label = LABEL_MALICIOUS if score >= VOTE_THRESHOLD else LABEL_BENIGN
     return PlainPrediction(score=score, label=label)
 
@@ -174,41 +174,35 @@ def view_scorer(params: neural.MalConvParams, spec: DetectorSpec):
     maps a detector to its views and their scorer, and that checks their
     scores, for predictions and attack oracles alike.
 
-    ns is one view of the whole file (starts [0], g its length), scored
-    as forward scores it.  sca's starts are a pure function of len(data);
-    rca and rs draw their views from content_rng on every call.  Chunk
-    views of at least the conv window go through one neural.ChunkScorer
-    kept across calls, in its blocks (neural.vote_blocks), so a call on a
-    file of the same length and starts, after one whose blocks were all
-    taken, rescores only the conv columns whose bytes changed; shorter
-    chunk views are gathered from the file and rs views (starts None)
-    drawn one block at a time, and both go through neural.score_views.
+    Views that are windows of the file, of any length, go through one
+    neural.ChunkScorer kept across calls, in its blocks, so a call after
+    one whose blocks were all taken rescores only the conv columns whose
+    bytes changed: ns is one view of the whole file (starts [0], g its
+    length) headed by plain_head, as forward heads it; sca's starts are a
+    pure function of len(data), rca's are drawn from content_rng, and both
+    are headed by view_heads.  rs views (starts None) are drawn from
+    content_rng one block at a time and go through neural.score_views.
     Every call is bitwise a fresh one."""
-    cfg, window = spec.ablation, params.profile.window
+    cfg = spec.ablation
     chunks = neural.ChunkScorer(params)
+    if spec.kind == "ns":
+        head = lambda pooled: np.array([neural.plain_head(params, pooled[0])])
+    else:
+        head = lambda pooled: neural.view_heads(params, pooled)
 
     def unchecked(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
         tokens = np.frombuffer(data, dtype=np.uint8)
-        if spec.kind == "ns":
-            starts = np.zeros(1, dtype=np.int64)
-            if tokens.size < window:
-                score = neural.forward(params, tokens).score
-            else:
-                (pooled,) = chunks(tokens, starts, tokens.size)
-                score = neural.plain_head(params, pooled[0])
-            return iter([np.array([score])]), starts, tokens.size
         if spec.kind == "rs":
             rng = content_rng(cfg.seed, data)
             rows = lambda a, b: make_views(data, replace(cfg, n_views=b - a), rng)
             return neural.score_views(params, cfg.n_views, tokens.size, rows), None, tokens.size
-        if spec.kind == "sca":
+        if spec.kind == "ns":
+            starts, g = np.zeros(1, dtype=np.int64), tokens.size
+        elif spec.kind == "sca":
             starts, g = sca_starts(tokens.size, cfg)
         else:
             starts, g = rca_starts(tokens.size, cfg, content_rng(cfg.seed, data))
-        if g < window:
-            windows = np.lib.stride_tricks.sliding_window_view(tokens, g)
-            return neural.score_views(params, starts.size, g, lambda a, b: windows[starts[a:b]]), starts, g
-        return (neural.view_heads(params, pooled) for pooled in chunks(tokens, starts, g)), starts, g
+        return map(head, chunks(tokens, starts, g)), starts, g
 
     def scores(data: bytes) -> tuple[Iterator[np.ndarray], np.ndarray | None, int]:
         blocks, starts, g = unchecked(data)

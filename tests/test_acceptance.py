@@ -129,8 +129,8 @@ def test_criterion_2_vote_math(monkeypatch):
             # each call, one per block of views, is served the next block's scores
             monkeypatch.setattr(
                 smoothing.neural,
-                "forward_scores",
-                lambda p, views, s=iter(scores): np.fromiter(s, dtype=float, count=len(views)),
+                "view_heads",
+                lambda p, pooled, s=iter(scores): np.fromiter(s, dtype=float, count=len(pooled)),
             )
             spec = DetectorSpec(
                 kind="sca", ablation=AblationConfig(scheme="sca", p=0.05, n_views=L)

@@ -364,10 +364,10 @@ def _spec(kind):
 def test_column_scores_match_fresh_predictions_query_by_query(monkeypatch, kind, profile):
     """The first query, an unchanged one, a one-byte edit (one conv column
     per covering view, so the floor pads the rescored set), an edit of
-    many columns, a change of length, a file too short for a stateful
-    score, and a return to the first length: every score is bitwise the
-    fresh prediction's, and every GEMM holds MIN_RESCORE_COLUMNS cells or
-    all of them."""
+    many columns, a change of length, a file whose views are shorter than
+    the conv window, and a return to the first length: every score is
+    bitwise the fresh prediction's, and every GEMM holds
+    MIN_RESCORE_COLUMNS cells or all of them."""
     params = neural.init_params(neural.PROFILES[profile], seed=25)
     pr = params.profile
     spec = _spec(kind)
@@ -388,7 +388,39 @@ def test_column_scores_match_fresh_predictions_query_by_query(monkeypatch, kind,
             assert gemms == []
         if i == 2:
             assert gemms == [neural.MIN_RESCORE_COLUMNS]
-        assert all(n >= neural.MIN_RESCORE_COLUMNS for n in gemms)
+        g = len(query) if kind == "ns" else sca_starts(len(query), spec.ablation)[1]
+        cells = (1 if kind == "ns" else spec.ablation.n_views) * neural.view_columns(pr, g)
+        assert all(n >= neural.MIN_RESCORE_COLUMNS or n == cells for n in gemms)
+
+
+@pytest.mark.parametrize("profile", ["desk", "original"])
+@pytest.mark.parametrize("kind", ["sca", "rca"])
+def test_short_chunk_oracle_matches_fresh_predictions(monkeypatch, kind, profile):
+    """Chunk views shorter than the conv window (g = window - 1) are
+    scored as the one-column views of their padded stack, which an oracle
+    keeps across queries: an unchanged query, a one-byte edit and an
+    all-zero file of the same length score bitwise as a fresh prediction.
+    An sca edit of one byte recomputes the views covering it, padded to
+    MIN_RESCORE_COLUMNS, fewer than a fresh call's L cells; rca draws
+    other starts for an edited file, so it may recompute every view."""
+    params = neural.init_params(neural.PROFILES[profile], seed=27)
+    w = params.profile.window
+    cfg = AblationConfig(scheme=kind, p=0.05, n_views=100)
+    spec = smoothing.DetectorSpec(kind=kind, ablation=cfg)
+    data = np.random.default_rng(27).integers(0, 256, size=20 * (w - 1), dtype=np.uint8).tobytes()
+    assert sca_starts(len(data), cfg)[1] == w - 1
+    i = len(data) // 2
+    one_byte = data[:i] + bytes([(data[i] + 1) % 256]) + data[i + 1 :]
+    scores = smoothing.view_scorer(params, spec)
+    seen = _rescored_cells(monkeypatch)
+    cells = []
+    for query in (data, data, one_byte, bytes(len(data))):
+        seen.clear()
+        got = _view_scores(scores, query)
+        cells.append(sum(len(s) for s in seen))
+        np.testing.assert_array_equal(got, _fresh_view_scores(params, spec, query))
+    assert cells[:2] == [cfg.n_views, 0]
+    assert cells[2] == (neural.MIN_RESCORE_COLUMNS if kind == "sca" else cfg.n_views)
 
 
 def _big_victim():

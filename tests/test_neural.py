@@ -275,7 +275,7 @@ def test_score_views_matches_one_forward_scores_call(kind, n_views, length, prof
     """Blocked scoring gives the bits of one forward_scores call over the
     whole stack.  So does a prediction, which scores chunk views from the
     file and their starts with one embedding gather per file (views
-    shorter than the conv window go through the padded stack).  Blocked
+    shorter than the conv window from their padded stack).  Blocked
     scoring cuts a stack of more than one long view (6,000 tokens) into
     more than one block."""
     view_len = {"short": profile.window - 1, "window": profile.window, "long": 6000}[length]

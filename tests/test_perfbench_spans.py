@@ -117,3 +117,31 @@ def test_traced_runs_give_the_untraced_outputs():
     assert got == want
     assert got[2].queries == got[3].queries == 20
     assert tracer.counts["queries"] == 40
+
+
+def test_traced_short_chunk_predictions_give_the_untraced_outputs():
+    """Files of at most 1,260 bytes have sca and rca views shorter than
+    the desk conv window.  Four traced predictions of each, enough for the
+    tracer's every-fourth replay, give the outputs of untraced runs."""
+    spans = _load_spans()
+    params = neural.init_params(neural.PROFILES["desk"], seed=6)
+    data = np.random.default_rng(6).integers(0, 256, size=1024, dtype=np.uint8).tobytes()
+    specs = [
+        smoothing.DetectorSpec(kind=kind, ablation=AblationConfig(scheme=kind, p=0.05, n_views=100, seed=seed))
+        for kind in ("sca", "rca")
+        for seed in range(spans.REPLAY_EVERY)
+    ]
+
+    def run():
+        return [smoothing.predict_smoothed(params, spec, data) for spec in specs]
+
+    want = run()
+    before = _module_attributes(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        got = run()
+    finally:
+        tracer.uninstall()
+    _assert_restored(before)
+    assert got == want

@@ -11,7 +11,7 @@ from _oracles import exhaustive_flip_invariant, tally_oracle, vote_oracle, windo
 from chunksmooth import attacks, harness, kernels, neural, smoothing
 from chunksmooth.ablation import AblationConfig, sca_starts
 from chunksmooth.corpus import LABEL_BENIGN, LABEL_MALICIOUS, load_capped
-from chunksmooth.errors import ConfigInvalid, DataError, NonFiniteScore, NotLengthPreserving, NotSca
+from chunksmooth.errors import ConfigInvalid, DataError, NonFiniteScore, NotLengthPreserving, NotSca, ShapeMismatch
 from chunksmooth.smoothing import (
     DetectorSpec,
     TrainConfig,
@@ -115,6 +115,34 @@ def test_predict_plain_threshold_is_malicious_inclusive():
     pred = predict_plain(params, bytes(range(128)))
     assert pred.score == 0.5
     assert pred.label == LABEL_MALICIOUS
+
+
+def test_ns_refuses_an_empty_file():
+    """ns has no view of an empty file: predict_plain, predict and the
+    attack oracle raise ShapeMismatch rather than score an all-padding
+    view."""
+    params = neural.init_params(DESK, seed=0)
+    ns = DetectorSpec(kind="ns")
+    for call in (
+        lambda: predict_plain(params, b""),
+        lambda: predict(params, ns, b""),
+        lambda: attacks.make_oracle(params, ns)(b""),
+    ):
+        with pytest.raises(ShapeMismatch):
+            call()
+
+
+@pytest.mark.parametrize("profile", ["desk", "original"])
+def test_predict_plain_matches_forward_bitwise(profile):
+    """predict_plain scores the whole file as one chunk view, right-padded
+    to the conv window when shorter: bitwise the score of the training
+    forward pass, at lengths around the window and up to the size cap."""
+    params = neural.init_params(neural.PROFILES[profile], seed=12)
+    w = params.profile.window
+    data = np.random.default_rng(12).integers(0, 256, size=65_536, dtype=np.uint8)
+    for length in (1, w - 1, w, w + 1, 20_000, 65_536):
+        got = predict_plain(params, data[:length].tobytes()).score
+        assert got == neural.forward(params, data[:length].astype(np.int32)).score
 
 
 # -- determinism -------------------------------------------------------------------
